@@ -120,16 +120,12 @@ int main(int argc, char** argv) {
         std::tuple{"sub-block (16)", DetectorKind::kSubBlock, 16u},
         std::tuple{"war-only (prior art)", DetectorKind::kWarOnly, 1u},
         std::tuple{"perfect", DetectorKind::kPerfect, 1u}}) {
-    SimConfig sim;
-    sim.ncores = opts.threads;
-    sim.seed = opts.seed;
+    SimConfig sim = opts.cfg.sim;
+    sim.ncores = opts.cfg.params.threads;
+    sim.seed = opts.cfg.params.seed;
     Machine m(sim, kind, nsub);
     PipelineWorkload wl;
-    WorkloadParams p;
-    p.threads = opts.threads;
-    p.seed = opts.seed;
-    p.scale = opts.scale;
-    wl.setup(m, p);
+    wl.setup(m, opts.cfg.params);
     m.run();
     const std::string err = wl.validate(m);
     const Stats& s = m.stats();

@@ -36,18 +36,18 @@ Task<void> edge_worker(GuestCtx& ctx, GArray32 degree, std::uint64_t nnodes,
 int main(int argc, char** argv) {
   const CliOptions opts = parse_cli(argc, argv);
   const std::uint64_t nnodes = 256;
-  const auto nedges = static_cast<int>(150 * opts.scale + 1);
+  const auto nedges = static_cast<int>(150 * opts.cfg.params.scale + 1);
 
   std::printf("graph_kernel: %u workers x %d edges over %llu nodes "
               "(16 degree counters per cache line)\n\n",
-              opts.threads, nedges, (unsigned long long)nnodes);
+              opts.cfg.params.threads, nedges, (unsigned long long)nnodes);
   std::printf("%-16s %9s %9s %11s %12s\n", "detector", "conflicts", "false",
               "false rate", "cycles");
 
   for (const std::uint32_t nsub : {1u, 2u, 4u, 8u, 16u}) {
-    SimConfig sim;
-    sim.ncores = opts.threads;
-    sim.seed = opts.seed;
+    SimConfig sim = opts.cfg.sim;
+    sim.ncores = opts.cfg.params.threads;
+    sim.seed = opts.cfg.params.seed;
     const DetectorKind kind =
         nsub == 1 ? DetectorKind::kBaseline : DetectorKind::kSubBlock;
     Machine m(sim, kind, nsub);

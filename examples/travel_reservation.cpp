@@ -43,10 +43,10 @@ Task<void> client(GuestCtx& ctx, Agency* a, int trips) {
 
 int main(int argc, char** argv) {
   const CliOptions opts = parse_cli(argc, argv);
-  const auto trips = static_cast<int>(40 * opts.scale + 1);
+  const auto trips = static_cast<int>(40 * opts.cfg.params.scale + 1);
 
-  std::printf("travel_reservation: %u clients x %d trips\n\n", opts.threads,
-              trips);
+  std::printf("travel_reservation: %u clients x %d trips\n\n",
+              opts.cfg.params.threads, trips);
   std::printf("%-22s %9s %9s %9s %12s\n", "detector", "conflicts", "false",
               "booked", "cycles");
 
@@ -54,9 +54,9 @@ int main(int argc, char** argv) {
        {std::tuple{"baseline ASF", DetectorKind::kBaseline, 1u},
         std::tuple{"sub-block (4)", DetectorKind::kSubBlock, 4u},
         std::tuple{"perfect", DetectorKind::kPerfect, 1u}}) {
-    SimConfig sim;
-    sim.ncores = opts.threads;
-    sim.seed = opts.seed;
+    SimConfig sim = opts.cfg.sim;
+    sim.ncores = opts.cfg.params.threads;
+    sim.seed = opts.cfg.params.seed;
     Machine m(sim, kind, nsub);
 
     Agency a;
@@ -66,7 +66,7 @@ int main(int argc, char** argv) {
     m.poke(a.revenue, 8, 0);
     a.nresources = 64;
     std::uint64_t capacity = 0;
-    Rng rng(opts.seed * 3 + 1);
+    Rng rng(opts.cfg.params.seed * 3 + 1);
     for (std::uint64_t id = 1; id <= a.nresources; ++id) {
       const std::uint64_t c = 1 + rng.below(4), r = 1 + rng.below(4);
       a.cars.host_insert(m, id, c);

@@ -40,7 +40,6 @@ expected_count() {
 # Cross-TU model rules are keyed off directory names under model/.
 model_rule_of() {
   case "$(basename "$1")" in
-    hash_*)  echo "hash-completeness" ;;
     stats_*) echo "stats-blob-completeness" ;;
     *)       echo "" ;;
   esac

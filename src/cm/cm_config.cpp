@@ -16,19 +16,4 @@ const char* to_string(CmPolicyKind k) {
   return "?";
 }
 
-bool parse_cm_policy(std::string_view name, CmPolicyKind& out) {
-  if (name == "requester-wins") {
-    out = CmPolicyKind::kRequesterWins;
-  } else if (name == "polite" || name == "requester-loses") {
-    out = CmPolicyKind::kPolite;
-  } else if (name == "timestamp") {
-    out = CmPolicyKind::kTimestamp;
-  } else if (name == "serialize") {
-    out = CmPolicyKind::kSerialize;
-  } else {
-    return false;
-  }
-  return true;
-}
-
 }  // namespace asfsim

@@ -5,12 +5,12 @@
 // resolution side: which ContentionPolicy the runtime consults when a
 // detector reports a conflict, plus the knobs the policies share. It lives
 // below sim/ so both SimConfig and the policy objects can include it without
-// a cycle; SimConfig embeds it as `SimConfig::cm` and folds every field into
-// the jobspec hash (runner cache key).
+// a cycle; SimConfig embeds it as `SimConfig::cm`, and every field is a
+// row of the knob table (harness/knobs.hpp), which the jobspec hash (runner
+// cache key) is generated from.
 #pragma once
 
 #include <cstdint>
-#include <string_view>
 
 namespace asfsim {
 
@@ -36,10 +36,6 @@ enum class CmPolicyKind : std::uint8_t {
 };
 
 [[nodiscard]] const char* to_string(CmPolicyKind k);
-
-/// Parses a policy name ("requester-wins", "polite", "timestamp",
-/// "serialize"). Returns false on unknown names.
-[[nodiscard]] bool parse_cm_policy(std::string_view name, CmPolicyKind& out);
 
 struct CmConfig {
   CmPolicyKind policy = CmPolicyKind::kRequesterWins;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <stdexcept>
+#include <string_view>
 #include <utility>
 
 #include "core/conflict.hpp"
@@ -215,19 +216,15 @@ ChaosCellResult run_chaos_cell(const ChaosCell& cell) {
 }
 
 const std::vector<ProtocolMutation>& all_mutations() {
-  static const std::vector<ProtocolMutation> kAll = {
-      ProtocolMutation::kDropDirtySubblock,
-      ProtocolMutation::kForgetInvalidatedSpecinfo,
-      ProtocolMutation::kSkipWrittenMask,
-      ProtocolMutation::kSkipCommitValidation,
-      ProtocolMutation::kWrongSubblockIndexMath,
-      ProtocolMutation::kStalePiggybackMask,
-      ProtocolMutation::kBackoffNeverSleeps,
-      ProtocolMutation::kLostUpdateCommit,
-      ProtocolMutation::kUnfairKarmaReset,
-      ProtocolMutation::kFallbackLockLeak,
-      ProtocolMutation::kSerializeSkipsValidation,
-  };
+  // Every named value after kNone, in declaration order.
+  static const std::vector<ProtocolMutation> kAll = [] {
+    std::vector<ProtocolMutation> all;
+    for (unsigned m = 1;
+         std::string_view(to_string(ProtocolMutation(m))) != "?"; ++m) {
+      all.push_back(ProtocolMutation(m));
+    }
+    return all;
+  }();
   return kAll;
 }
 

@@ -1,6 +1,7 @@
 // Fault-injection and protocol-mutation configuration (docs/robustness.md).
 //
-// FaultConfig is embedded in SimConfig, so every knob participates in the
+// FaultConfig is embedded in SimConfig, and every field is a row of the
+// knob table (harness/knobs.hpp), so every knob participates in the
 // runner's canonical JobSpec serialization: a faulted run can never alias a
 // clean run in the result cache. Injection itself (FaultPlan) is derived
 // from the simulation seed, so fault runs are byte-deterministic across
@@ -14,7 +15,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string_view>
 
 #include "sim/types.hpp"
 
@@ -77,10 +77,6 @@ enum class ProtocolMutation : std::uint8_t {
 };
 
 [[nodiscard]] const char* to_string(ProtocolMutation m);
-
-/// Parse a --mutate name ("drop-dirty-subblock", ...). Returns false for
-/// unknown names; "none" and "" map to kNone.
-[[nodiscard]] bool parse_mutation(std::string_view name, ProtocolMutation& out);
 
 struct FaultConfig {
   /// Per-transactional-access probability of a spurious abort (the access

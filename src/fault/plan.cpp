@@ -31,31 +31,6 @@ const char* to_string(ProtocolMutation m) {
   return "?";
 }
 
-bool parse_mutation(std::string_view name, ProtocolMutation& out) {
-  if (name.empty() || name == "none") {
-    out = ProtocolMutation::kNone;
-    return true;
-  }
-  for (const ProtocolMutation m :
-       {ProtocolMutation::kDropDirtySubblock,
-        ProtocolMutation::kForgetInvalidatedSpecinfo,
-        ProtocolMutation::kSkipWrittenMask,
-        ProtocolMutation::kSkipCommitValidation,
-        ProtocolMutation::kWrongSubblockIndexMath,
-        ProtocolMutation::kStalePiggybackMask,
-        ProtocolMutation::kBackoffNeverSleeps,
-        ProtocolMutation::kLostUpdateCommit,
-        ProtocolMutation::kUnfairKarmaReset,
-        ProtocolMutation::kFallbackLockLeak,
-        ProtocolMutation::kSerializeSkipsValidation}) {
-    if (name == to_string(m)) {
-      out = m;
-      return true;
-    }
-  }
-  return false;
-}
-
 FaultPlan::FaultPlan(const FaultConfig& cfg, std::uint64_t seed,
                      std::uint32_t ncores)
     : cfg_(cfg) {

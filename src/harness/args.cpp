@@ -1,149 +1,119 @@
 #include "harness/args.hpp"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 
-#include "cm/cm_config.hpp"
-#include "fault/fault_config.hpp"
-
 namespace asfsim {
 
-CliOptions parse_cli(int argc, char** argv, double default_scale) {
-  CliOptions o;
-  o.scale = default_scale;
-  for (int i = 1; i < argc; ++i) {
-    auto need_value = [&](const char* flag) -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "%s: missing value for %s\n", argv[0], flag);
-        std::exit(2);
-      }
-      return argv[++i];
-    };
-    if (std::strcmp(argv[i], "--scale") == 0) {
-      o.scale = std::atof(need_value("--scale"));
-    } else if (std::strcmp(argv[i], "--threads") == 0) {
-      o.threads = static_cast<std::uint32_t>(std::atoi(need_value("--threads")));
-    } else if (std::strcmp(argv[i], "--seed") == 0) {
-      o.seed = static_cast<std::uint64_t>(std::atoll(need_value("--seed")));
-    } else if (std::strcmp(argv[i], "--csv") == 0) {
-      o.csv_dir = need_value("--csv");
-    } else if (std::strcmp(argv[i], "--jobs") == 0) {
-      o.jobs = static_cast<std::uint32_t>(std::atoi(need_value("--jobs")));
-    } else if (std::strcmp(argv[i], "--no-cache") == 0) {
-      o.no_cache = true;
-    } else if (std::strcmp(argv[i], "--trace-dir") == 0) {
-      o.trace_dir = need_value("--trace-dir");
-    } else if (std::strcmp(argv[i], "--trace-format") == 0) {
-      o.trace_format = need_value("--trace-format");
-      if (o.trace_format != "jsonl" && o.trace_format != "perfetto") {
-        std::fprintf(stderr, "%s: --trace-format must be jsonl or perfetto\n",
-                     argv[0]);
-        std::exit(2);
-      }
-    } else if (std::strcmp(argv[i], "--fault-spurious") == 0) {
-      o.fault_spurious = std::atof(need_value("--fault-spurious"));
-    } else if (std::strcmp(argv[i], "--fault-commit") == 0) {
-      o.fault_commit = std::atof(need_value("--fault-commit"));
-    } else if (std::strcmp(argv[i], "--fault-evict") == 0) {
-      o.fault_evict = std::atof(need_value("--fault-evict"));
-    } else if (std::strcmp(argv[i], "--fault-probe-jitter") == 0) {
-      o.fault_probe_jitter =
-          static_cast<std::uint64_t>(std::atoll(need_value("--fault-probe-jitter")));
-    } else if (std::strcmp(argv[i], "--fault-sched-jitter") == 0) {
-      o.fault_sched_jitter =
-          static_cast<std::uint64_t>(std::atoll(need_value("--fault-sched-jitter")));
-    } else if (std::strcmp(argv[i], "--mutate") == 0) {
-      o.mutate = need_value("--mutate");
-      ProtocolMutation mut;
-      if (!parse_mutation(o.mutate, mut)) {
-        std::fprintf(stderr,
-                     "%s: unknown --mutate %s (try drop-dirty-subblock, "
-                     "forget-invalidated-specinfo, skip-written-mask, "
-                     "skip-commit-validation)\n",
-                     argv[0], o.mutate.c_str());
-        std::exit(2);
-      }
-    } else if (std::strcmp(argv[i], "--oltp-records") == 0) {
-      o.oltp.records =
-          static_cast<std::uint64_t>(std::atoll(need_value("--oltp-records")));
-    } else if (std::strcmp(argv[i], "--oltp-payload") == 0) {
-      o.oltp.payload_bytes =
-          static_cast<std::uint32_t>(std::atoi(need_value("--oltp-payload")));
-    } else if (std::strcmp(argv[i], "--oltp-tx-len") == 0) {
-      o.oltp.tx_len =
-          static_cast<std::uint32_t>(std::atoi(need_value("--oltp-tx-len")));
-    } else if (std::strcmp(argv[i], "--oltp-tx") == 0) {
-      o.oltp.tx_per_thread =
-          static_cast<std::uint64_t>(std::atoll(need_value("--oltp-tx")));
-    } else if (std::strcmp(argv[i], "--oltp-theta") == 0) {
-      o.oltp.theta = std::atof(need_value("--oltp-theta"));
-    } else if (std::strcmp(argv[i], "--oltp-read-ratio") == 0) {
-      o.oltp.read_ratio = std::atof(need_value("--oltp-read-ratio"));
-    } else if (std::strcmp(argv[i], "--oltp-rmw-ratio") == 0) {
-      o.oltp.rmw_ratio = std::atof(need_value("--oltp-rmw-ratio"));
-    } else if (std::strcmp(argv[i], "--oltp-scan-ratio") == 0) {
-      o.oltp.scan_ratio = std::atof(need_value("--oltp-scan-ratio"));
-    } else if (std::strcmp(argv[i], "--oltp-scan-len") == 0) {
-      o.oltp.scan_len =
-          static_cast<std::uint32_t>(std::atoi(need_value("--oltp-scan-len")));
-    } else if (std::strcmp(argv[i], "--oltp-hot-window") == 0) {
-      o.oltp.hot_window = static_cast<std::uint64_t>(
-          std::atoll(need_value("--oltp-hot-window")));
-    } else if (std::strcmp(argv[i], "--prov") == 0) {
-      o.prov = true;
-    } else if (std::strcmp(argv[i], "--cm-policy") == 0) {
-      const char* name = need_value("--cm-policy");
-      if (!parse_cm_policy(name, o.cm.policy)) {
-        std::fprintf(stderr,
-                     "%s: unknown --cm-policy %s (try requester-wins, "
-                     "polite, timestamp, serialize)\n",
-                     argv[0], name);
-        std::exit(2);
-      }
-    } else if (std::strcmp(argv[i], "--cm-max-retries") == 0) {
-      o.cm.max_retries =
-          static_cast<std::uint32_t>(std::atoi(need_value("--cm-max-retries")));
-    } else if (std::strcmp(argv[i], "--cm-karma") == 0) {
-      o.cm.karma =
-          static_cast<std::uint32_t>(std::atoi(need_value("--cm-karma")));
-    } else if (std::strcmp(argv[i], "--cm-stats") == 0) {
-      o.cm.stats = true;
-    } else if (std::strcmp(argv[i], "--oltp-mix") == 0) {
-      const char* name = need_value("--oltp-mix");
-      if (!parse_oltp_mix(name, o.oltp.mix)) {
-        std::fprintf(stderr, "%s: unknown --oltp-mix %s (try a..f or custom)\n",
-                     argv[0], name);
-        std::exit(2);
-      }
-    } else if (std::strcmp(argv[i], "--watchdog") == 0) {
-      o.watchdog = static_cast<std::uint64_t>(std::atoll(need_value("--watchdog")));
-    } else if (std::strcmp(argv[i], "--job-timeout") == 0) {
-      o.job_timeout = std::atof(need_value("--job-timeout"));
-    } else if (std::strcmp(argv[i], "--help") == 0) {
-      std::printf(
-          "usage: %s [--scale f] [--threads n] [--seed n] [--csv dir] "
-          "[--jobs n] [--no-cache] [--trace-dir dir] "
-          "[--trace-format jsonl|perfetto]\n"
-          "  robustness: [--fault-spurious p] [--fault-commit p] "
-          "[--fault-evict p] [--fault-probe-jitter n] "
-          "[--fault-sched-jitter n] [--mutate name] [--watchdog n] "
-          "[--job-timeout s]\n"
-          "  oltp: [--oltp-records n] [--oltp-payload n] [--oltp-tx-len n] "
-          "[--oltp-tx n] [--oltp-theta f] [--oltp-read-ratio f] "
-          "[--oltp-rmw-ratio f] [--oltp-scan-ratio f] [--oltp-scan-len n] "
-          "[--oltp-hot-window n] [--oltp-mix a..f|custom]\n"
-          "  contention: [--cm-policy requester-wins|polite|timestamp|"
-          "serialize] [--cm-max-retries n] [--cm-karma n] [--cm-stats]\n"
-          "  observability: [--prov] (conflict provenance attribution)\n",
-          argv[0]);
+Flag switch_flag(const char* name, const char* help, bool& out) {
+  return {name, "", help, [&out](const char*) {
+            out = true;
+            return std::string();
+          }};
+}
+
+Flag knob_flag(const knobs::Knob& k, ExperimentConfig& cfg, const char* name) {
+  void* f = knobs::field(k, cfg);
+  if (name == nullptr) name = k.flag;
+  if (k.type == knobs::Type::kBool) {
+    return switch_flag(name, k.help, *static_cast<bool*>(f));
+  }
+  const std::string want = knobs::expected(k);
+  return {name,
+          k.type == knobs::Type::kF64    ? "f"
+          : k.type == knobs::Type::kEnum ? "name"
+                                         : "n",
+          std::string(k.help) + " (" + want + "; default " +
+              knobs::show(k, f) + ")",
+          [&k, f, want](const char* v) {
+            return knobs::parse(k, f, v) ? std::string() : want;
+          }};
+}
+
+Flag text_flag(const char* name, const char* metavar, const char* help,
+               std::string& out) {
+  return {name, metavar, help, [&out](const char* v) {
+            out = v;
+            return std::string();
+          }};
+}
+
+std::string flag_help(const std::vector<Flag>& flags) {
+  std::string out;
+  for (const Flag& f : flags) {
+    std::string head = "  " + f.name;
+    if (!f.metavar.empty()) head += " <" + f.metavar + ">";
+    head.resize(std::max<std::size_t>(head.size() + 2, 28), ' ');
+    out += head + f.help + "\n";
+  }
+  return out;
+}
+
+void parse_flags(int argc, char** argv, int first,
+                 const std::vector<Flag>& flags, const std::string& usage) {
+  const char* slash = std::strrchr(argv[0], '/');
+  const char* tool = slash != nullptr ? slash + 1 : argv[0];
+  for (int i = first; i < argc; ++i) {
+    if (std::strcmp(argv[i], "--help") == 0) {
+      std::fputs(usage.c_str(), stdout);
       std::exit(0);
-    } else {
-      std::fprintf(stderr, "%s: unknown flag %s (see --help)\n", argv[0],
+    }
+    const auto f = std::find_if(flags.begin(), flags.end(), [&](const Flag& x) {
+      return x.name == argv[i];
+    });
+    if (f == flags.end()) {
+      std::fprintf(stderr, "%s: unknown flag %s (see --help)\n", tool,
                    argv[i]);
       std::exit(2);
     }
+    const char* value = nullptr;
+    if (!f->metavar.empty()) {
+      if (i + 1 >= argc) {
+        std::fprintf(stderr, "%s: missing value for %s\n", tool, argv[i]);
+        std::exit(2);
+      }
+      value = argv[++i];
+    }
+    if (const std::string want = f->set(value); !want.empty()) {
+      std::fprintf(stderr, "%s: bad value '%s' for %s (%s)\n", tool, value,
+                   f->name.c_str(), want.c_str());
+      std::exit(2);
+    }
   }
+}
+
+CliOptions parse_cli(int argc, char** argv, double default_scale) {
+  CliOptions o;
+  o.cfg.params.scale = default_scale;
+  std::vector<Flag> flags;
+  for (const knobs::Knob& k : knobs::kKnobs) {
+    if (k.flag != nullptr) flags.push_back(knob_flag(k, o.cfg));
+  }
+  flags.push_back(text_flag("--csv", "dir", "also write CSV series into dir",
+                            o.csv_dir));
+  flags.push_back(count_flag(
+      "--jobs", "host worker threads (0 = hardware concurrency)", o.jobs));
+  flags.push_back(switch_flag(
+      "--no-cache", "bypass the on-disk result cache", o.no_cache));
+  flags.push_back(text_flag("--trace-dir", "dir",
+                            "write one full-timeline trace file per job",
+                            o.trace_dir));
+  flags.push_back({"--trace-format", "fmt",
+                   "trace file format: jsonl (default) or perfetto",
+                   [&o](const char* v) {
+                     const std::string_view fmt = v;
+                     if (fmt != "jsonl" && fmt != "perfetto") {
+                       return std::string("jsonl or perfetto");
+                     }
+                     o.trace_format = fmt == "jsonl" ? TraceFormat::kJsonl
+                                                     : TraceFormat::kPerfetto;
+                     return std::string();
+                   }});
+  parse_flags(argc, argv, 1, flags,
+              std::string("usage: ") + argv[0] + " [flags]\n" +
+                  flag_help(flags));
   return o;
 }
 

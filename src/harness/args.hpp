@@ -1,104 +1,80 @@
-// Tiny CLI parsing shared by bench binaries and examples.
-//
-// Common flags:
-//   --scale <f>    input-size multiplier (default 1.0; benches use smaller
-//                  defaults so `for b in build/bench/*; do $b; done` is fast)
-//   --threads <n>  guest threads (default 8, the paper's core count)
-//   --seed <n>     deterministic seed (default 1)
-//   --csv <dir>    also write CSV series into <dir>
-//   --jobs <n>     host worker threads for the experiment runner
-//                  (default 0 = hardware concurrency; results are
-//                  byte-identical for any value — see docs/runner.md)
-//   --no-cache     bypass the on-disk result cache (build/.asfsim-cache/)
-//   --trace-dir <dir>     write one full-timeline trace file per job
-//   --trace-format <fmt>  jsonl (default) or perfetto
-//                         (see docs/observability.md)
-//
-// Robustness flags (docs/robustness.md):
-//   --fault-spurious <p>      per-tx-access spurious-abort probability
-//   --fault-commit <p>        per-commit injected-abort probability
-//   --fault-evict <p>         per-tx-access forced speculative eviction prob.
-//   --fault-probe-jitter <n>  max extra cycles per probe broadcast
-//   --fault-sched-jitter <n>  max extra cycles per scheduled resume
-//   --mutate <name>           protocol mutation (chaos harness)
-//   --watchdog <n>            livelock watchdog threshold in cycles (0 = off)
-//   --job-timeout <s>         per-job wall-clock limit in seconds (0 = off)
-//
-// OLTP workload knobs (docs/workloads.md, "The OLTP/KV family"):
-//   --oltp-records <n>     table size in records
-//   --oltp-payload <n>     payload bytes per record (multiple of 8)
-//   --oltp-tx-len <n>      operations per transaction
-//   --oltp-tx <n>          transactions per guest thread (scaled by --scale)
-//   --oltp-theta <f>       zipf skew (0 = uniform; YCSB default 0.99)
-//   --oltp-read-ratio <f>  free-form mix: reads
-//   --oltp-rmw-ratio <f>   free-form mix: read-modify-writes
-//   --oltp-scan-ratio <f>  free-form mix: scans (rest = blind updates)
-//   --oltp-scan-len <n>    records per scan operation
-//   --oltp-hot-window <n>  YCSB-D "latest" sliding hot window (0 = whole
-//                          table; see docs/workloads.md)
-//   --oltp-mix <a..f>      YCSB preset (overrides the three ratios)
-//
-// Contention management (docs/contention.md):
-//   --cm-policy <name>     conflict-resolution policy: requester-wins
-//                          (default, the ASF hardware rule), polite
-//                          (requester-loses), timestamp (oldest-wins with
-//                          karma carry-over), serialize (bounded retries,
-//                          then the fallback lock guarantees progress)
-//   --cm-max-retries <n>   serialize policy: aborts before the transaction
-//                          escalates to the fallback lock (default 8)
-//   --cm-karma <n>         timestamp policy: cycles of priority credit per
-//                          prior abort (default 64)
-//   --cm-stats             record per-core starvation/fairness accounting
-//                          (adds the stats v5 section)
-//
-// Observability (docs/observability.md):
-//   --prov                 conflict provenance: attribute every conflict to
-//                          its allocation site (adds the stats v4 section
-//                          and provenance-tagged trace events)
+// Command-line parsing shared by the bench binaries, the examples,
+// asfsim_explore and asfsim_chaos. Knob flags come from the knob table
+// (harness/knobs.hpp); `<tool> --help` is the flag reference.
 #pragma once
 
 #include <cstdint>
+#include <functional>
+#include <limits>
 #include <string>
+#include <vector>
 
-#include "cm/cm_config.hpp"
-#include "oltp/oltp_config.hpp"
+#include "harness/experiment.hpp"
+#include "harness/knobs.hpp"
 
 namespace asfsim {
 
 struct CliOptions {
-  double scale = 1.0;
-  std::uint32_t threads = 8;
-  std::uint64_t seed = 1;
-  std::string csv_dir;
+  ExperimentConfig cfg;  // every knob flag lands here
+
+  // Runner host flags: where and how jobs run, never what they compute.
+  std::string csv_dir;     // also write CSV series here
   std::uint32_t jobs = 0;  // runner workers; 0 = hardware concurrency
   bool no_cache = false;   // skip the content-addressed result cache
   std::string trace_dir;   // empty = tracing disabled
-  std::string trace_format = "jsonl";  // "jsonl" | "perfetto"
-
-  // Robustness knobs (apply_robustness_options folds them into the
-  // ExperimentConfig; all defaults preserve the clean-run byte output).
-  double fault_spurious = 0.0;
-  double fault_commit = 0.0;
-  double fault_evict = 0.0;
-  std::uint64_t fault_probe_jitter = 0;
-  std::uint64_t fault_sched_jitter = 0;
-  std::string mutate;        // validated by parse_cli (parse_mutation)
-  std::uint64_t watchdog = 0;
-  double job_timeout = 0.0;  // seconds; env ASFSIM_JOB_TIMEOUT also works
-
-  /// OLTP workload knobs; flow into WorkloadParams::oltp (and therefore the
-  /// JobSpec hash) via base_config/apply_robustness_options.
-  OltpConfig oltp;
-
-  /// Conflict provenance (--prov): flows into SimConfig::provenance.
-  bool prov = false;
-
-  /// Contention management (--cm-*): flows into SimConfig::cm.
-  CmConfig cm;
+  TraceFormat trace_format = TraceFormat::kJsonl;
 };
 
-/// Parse the common flags; exits with a usage message on errors.
+/// Parse the bench/example flags; exits 2 with one line on stderr on a bad
+/// flag or value, and 0 after printing the flag list for --help.
 [[nodiscard]] CliOptions parse_cli(int argc, char** argv,
                                    double default_scale = 1.0);
+
+/// One command-line flag of some tool.
+struct Flag {
+  std::string name;     // "--threads"
+  std::string metavar;  // value placeholder; empty for a switch
+  std::string help;
+  /// Applies the value (nullptr for a switch). Returns "" or, for a bad
+  /// value, what a good one looks like.
+  std::function<std::string(const char* value)> set;
+};
+
+/// The flag of knob row `k`, named `name` (default: the row's own flag),
+/// writing into `cfg`. The help shows the current value as the default.
+[[nodiscard]] Flag knob_flag(const knobs::Knob& k, ExperimentConfig& cfg,
+                             const char* name = nullptr);
+
+/// A tool's own integer flag, parsed like an integer knob: the whole
+/// token, no sign, a value in [lo, hi].
+template <class T>
+[[nodiscard]] Flag count_flag(
+    const char* name, const char* help, T& out, std::uint64_t lo = 0,
+    std::uint64_t hi = std::numeric_limits<T>::max()) {
+  return {name, "n", help, [&out, lo, hi](const char* v) {
+            std::uint64_t u = 0;
+            if (!knobs::parse_integer(v, lo, hi, u)) {
+              return "an integer in [" + std::to_string(lo) + ", " +
+                     std::to_string(hi) + "]";
+            }
+            out = static_cast<T>(u);
+            return std::string();
+          }};
+}
+/// A tool's own switch.
+[[nodiscard]] Flag switch_flag(const char* name, const char* help, bool& out);
+/// A tool's own free-text flag.
+[[nodiscard]] Flag text_flag(const char* name, const char* metavar,
+                             const char* help, std::string& out);
+
+/// One "  --flag <value>  help" line per flag.
+[[nodiscard]] std::string flag_help(const std::vector<Flag>& flags);
+
+/// Applies argv[first, argc) to `flags`. --help prints `usage` and exits 0.
+/// An unknown flag, a missing value or a bad value prints one line to
+/// stderr ("<tool>: bad value '<v>' for <flag> (<what set wanted>)") and
+/// exits 2.
+void parse_flags(int argc, char** argv, int first,
+                 const std::vector<Flag>& flags, const std::string& usage);
 
 }  // namespace asfsim

@@ -5,7 +5,6 @@
 
 #include "core/detector.hpp"
 #include "fault/plan.hpp"
-#include "harness/args.hpp"
 #include "sim/config.hpp"
 #include "stats/counters.hpp"
 #include "workloads/workload.hpp"
@@ -63,11 +62,6 @@ struct ExperimentResult {
 
   [[nodiscard]] bool ok() const { return validation_error.empty(); }
 };
-
-/// Fold the CLI robustness flags (--fault-*, --mutate, --watchdog) into an
-/// experiment config. The fault knobs land in cfg.sim.fault and therefore
-/// in the JobSpec hash; wall_limit_s stays host-side.
-void apply_robustness_options(const CliOptions& opts, ExperimentConfig& cfg);
 
 /// Run one experiment to completion. Throws on simulator-level failures
 /// (deadlock, cycle-limit); workload validation failures are reported in the

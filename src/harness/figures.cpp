@@ -26,12 +26,8 @@ using TextTable = asfsim::TextTable;
 using runner::Runner;
 
 ExperimentConfig base_config(const CliOptions& opts) {
-  ExperimentConfig cfg;
-  cfg.params.threads = opts.threads;
-  cfg.params.seed = opts.seed;
-  cfg.params.scale = opts.scale;
-  cfg.sim.ncores = opts.threads;
-  apply_robustness_options(opts, cfg);
+  ExperimentConfig cfg = opts.cfg;
+  cfg.sim.ncores = cfg.params.threads;  // one simulated core per guest thread
   return cfg;
 }
 
@@ -40,9 +36,8 @@ runner::RunnerOptions runner_opts(const CliOptions& opts) {
   o.jobs = opts.jobs;
   o.use_cache = !opts.no_cache;
   o.trace_dir = opts.trace_dir;
-  o.trace_format = opts.trace_format == "perfetto" ? TraceFormat::kPerfetto
-                                                   : TraceFormat::kJsonl;
-  o.job_wall_limit_s = opts.job_timeout;
+  o.trace_format = opts.trace_format;
+  o.job_wall_limit_s = opts.cfg.wall_limit_s;
   return o;
 }
 
@@ -1037,7 +1032,7 @@ int ablation_scale(const CliOptions& opts, std::ostream& os) {
   TextTable t({"Benchmark", "Scale", "Conflicts", "False rate"});
   const auto scale_config = [&opts](double scale) {
     ExperimentConfig cfg = base_config(opts);
-    cfg.params.scale = opts.scale * scale;
+    cfg.params.scale = opts.cfg.params.scale * scale;
     return cfg.with(DetectorKind::kBaseline);
   };
   Runner runner(runner_opts(opts));
@@ -1116,7 +1111,7 @@ int fig11_throughput_vs_skew(const CliOptions& opts, std::ostream& os) {
   int status = 0;
   os << "Fig 11 (extension): OLTP commits per simulated second and latency "
         "percentiles vs zipf skew, core count and detector\n"
-        "(mix: " << to_string(opts.oltp.mix)
+        "(mix: " << to_string(opts.cfg.params.oltp.mix)
      << "; latency = logical transaction begin -> commit/fallback, "
         "including retries and backoff; docs/workloads.md)\n";
   CsvWriter csv(opts.csv_dir, "fig11_throughput_vs_skew");

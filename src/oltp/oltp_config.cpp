@@ -1,5 +1,7 @@
 #include "oltp/oltp_config.hpp"
 
+#include "harness/knobs.hpp"
+
 namespace asfsim {
 
 const char* to_string(OltpMix m) {
@@ -13,21 +15,6 @@ const char* to_string(OltpMix m) {
     case OltpMix::kF: return "f";
   }
   return "?";
-}
-
-bool parse_oltp_mix(std::string_view name, OltpMix& out) {
-  if (name.empty() || name == "custom") {
-    out = OltpMix::kCustom;
-    return true;
-  }
-  for (const OltpMix m : {OltpMix::kA, OltpMix::kB, OltpMix::kC, OltpMix::kD,
-                          OltpMix::kE, OltpMix::kF}) {
-    if (name == to_string(m)) {
-      out = m;
-      return true;
-    }
-  }
-  return false;
 }
 
 OltpConfig OltpConfig::resolved() const {
@@ -58,22 +45,14 @@ OltpConfig OltpConfig::resolved() const {
 }
 
 std::string OltpConfig::validate() const {
-  if (records < 2 || records > (std::uint64_t{1} << 20)) {
-    return "records must be in [2, 2^20]";
+  if (std::string err = knobs::check(knobs::Owner::kOltp, this); !err.empty()) {
+    return err;
   }
-  if (payload_bytes == 0 || payload_bytes % 8 != 0 || payload_bytes > 512) {
-    return "payload_bytes must be a multiple of 8 in [8, 512]";
+  // Cross-field checks.
+  if (read_ratio + rmw_ratio + scan_ratio > 1.0 + 1e-9) {
+    return "read/rmw/scan ratios must sum to <= 1";
   }
-  if (tx_len == 0 || tx_len > 64) return "tx_len must be in [1, 64]";
-  if (tx_per_thread == 0) return "tx_per_thread must be positive";
-  if (theta < 0.0 || theta > 4.0) return "theta must be in [0, 4]";
-  if (read_ratio < 0.0 || rmw_ratio < 0.0 || scan_ratio < 0.0 ||
-      read_ratio + rmw_ratio + scan_ratio > 1.0 + 1e-9) {
-    return "read/rmw/scan ratios must be non-negative and sum to <= 1";
-  }
-  if (scan_len == 0 || scan_len > records) {
-    return "scan_len must be in [1, records]";
-  }
+  if (scan_len > records) return "scan_len must be in [1, records]";
   if (hot_window > records) return "hot_window must be in [0, records]";
   return {};
 }

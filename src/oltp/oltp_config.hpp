@@ -3,14 +3,13 @@
 //
 // OltpConfig is embedded in WorkloadParams, so every knob reaches the
 // workload through the normal setup() plumbing AND participates in the
-// runner's canonical JobSpec serialization (runner/job_spec.cpp, enforced
-// by asfsim_lint's hash-completeness rule): two OLTP runs differing in any
-// knob can never alias in the result cache.
+// runner's canonical JobSpec serialization: every field is a row of the
+// knob table (harness/knobs.hpp), so two OLTP runs differing in any knob
+// can never alias in the result cache.
 #pragma once
 
 #include <cstdint>
 #include <string>
-#include <string_view>
 
 namespace asfsim {
 
@@ -31,10 +30,6 @@ enum class OltpMix : std::uint8_t {
 };
 
 [[nodiscard]] const char* to_string(OltpMix m);
-
-/// Parse an --oltp-mix value ("a".."f", "custom"). Returns false for
-/// unknown names; "" maps to kCustom.
-[[nodiscard]] bool parse_oltp_mix(std::string_view name, OltpMix& out);
 
 struct OltpConfig {
   /// Key space: number of fixed-size records in the table.

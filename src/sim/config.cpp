@@ -1,60 +1,64 @@
 #include "sim/config.hpp"
 
+#include <tuple>
+
+#include "harness/knobs.hpp"
 #include "mem/addr.hpp"
 
 namespace asfsim {
 
 namespace {
 
-std::string check_level(const char* name, const CacheLevelConfig& c) {
-  if (c.size_bytes == 0) return std::string(name) + ": size_bytes must be > 0";
-  if (c.ways == 0) return std::string(name) + ": ways must be > 0";
-  if (c.line_bytes == 0 || (c.line_bytes & (c.line_bytes - 1)) != 0) {
-    return std::string(name) + ": line_bytes must be a power of two";
-  }
-  if (c.size_bytes % (c.line_bytes * c.ways) != 0) {
-    return std::string(name) +
-           ": size_bytes must be a multiple of line_bytes * ways";
-  }
-  return {};
+// Paper Table II: the defaults are the published machine.
+constexpr bool level_is(const CacheLevelConfig& c, std::uint32_t kib,
+                        std::uint32_t ways, Cycle latency) {
+  return c.size_bytes == kib * 1024 && c.line_bytes == 64 && c.ways == ways &&
+         c.latency == latency;
 }
-
-std::string check_rate(const char* name, double rate) {
-  if (rate < 0.0 || rate > 1.0) {
-    return std::string("fault.") + name + " must be in [0, 1]";
-  }
-  return {};
-}
+static_assert(SimConfig{}.ncores == 8 && level_is(SimConfig{}.l1, 64, 2, 3) &&
+                  level_is(SimConfig{}.l2, 512, 16, 15) &&
+                  level_is(SimConfig{}.l3, 2048, 16, 50) &&
+                  SimConfig{}.mem_latency == 210,
+              "SimConfig defaults must stay paper Table II");
 
 }  // namespace
 
 std::string SimConfig::validate(std::uint32_t nsub) const {
-  if (ncores == 0) return "ncores must be > 0";
-  for (const auto& [name, level] :
+  using knobs::Owner;
+  for (const auto& [owner, obj, prefix] :
+       {std::tuple<Owner, const void*, const char*>{Owner::kSim, this, ""},
+        {Owner::kFault, &fault, "fault."},
+        {Owner::kCm, &cm, "cm."},
+        {Owner::kCacheLevel, &l1, "l1."},
+        {Owner::kCacheLevel, &l2, "l2."},
+        {Owner::kCacheLevel, &l3, "l3."}}) {
+    if (std::string err = knobs::check(owner, obj, prefix); !err.empty()) {
+      return err;
+    }
+  }
+  // Cross-field checks.
+  for (const auto& [name, c] :
        {std::pair<const char*, const CacheLevelConfig*>{"l1", &l1},
         {"l2", &l2},
         {"l3", &l3}}) {
-    if (std::string err = check_level(name, *level); !err.empty()) return err;
+    if (c->size_bytes % (c->line_bytes * c->ways) != 0) {
+      return std::string(name) +
+             ": size_bytes must be a multiple of line_bytes * ways";
+    }
   }
   // Byte masks and sub-block math assume the global line size.
   if (l1.line_bytes != kLineBytes) {
     return "l1.line_bytes must be " + std::to_string(kLineBytes) +
            " (ByteMask width)";
   }
-  if (nsub == 0 || (nsub & (nsub - 1)) != 0) {
-    return "nsub must be a power of two, got " + std::to_string(nsub);
-  }
-  if (nsub > kMaxSubBlocks) {
-    return "nsub must be <= " + std::to_string(kMaxSubBlocks) + ", got " +
+  static const knobs::Knob& nsub_row = knobs::row("nsub");
+  if (!knobs::in_range(nsub_row, nsub)) {
+    return "nsub must be " + knobs::expected(nsub_row) + ", got " +
            std::to_string(nsub);
   }
   if (nsub > l1.line_bytes) {
     return "nsub (" + std::to_string(nsub) + ") exceeds the line size (" +
            std::to_string(l1.line_bytes) + " bytes)";
-  }
-  if (backoff_base == 0) {
-    return "backoff_base must be > 0 (zero backoff livelocks under "
-           "requester-wins)";
   }
   if (max_tx_retries != 0 && max_capacity_aborts == 0) {
     return "max_capacity_aborts must be > 0 when the fallback is enabled";
@@ -89,13 +93,6 @@ std::string SimConfig::validate(std::uint32_t nsub) const {
   }
   if (enable_ats && (ats_alpha <= 0.0 || ats_alpha > 1.0)) {
     return "ats_alpha must be in (0, 1]";
-  }
-  for (const auto& [name, rate] :
-       {std::pair<const char*, double>{"spurious_abort_rate",
-                                       fault.spurious_abort_rate},
-        {"commit_abort_rate", fault.commit_abort_rate},
-        {"evict_rate", fault.evict_rate}}) {
-    if (std::string err = check_rate(name, rate); !err.empty()) return err;
   }
   return {};
 }

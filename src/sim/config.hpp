@@ -35,7 +35,7 @@ struct SimConfig {
   // Private L2: 512KB, 16-way, 15-cycle load-to-use.
   CacheLevelConfig l2{512 * 1024, 64, 16, 15};
   // Private L3: 2MB, 16-way, 50-cycle load-to-use.
-  CacheLevelConfig l3{2 * 1024 * 1024, 16 * 64 * 4, 50};  // fixed below
+  CacheLevelConfig l3{2 * 1024 * 1024, 64, 16, 50};
   // Main memory load-to-use latency.
   Cycle mem_latency = 210;
   // Remote-L1 cache-to-cache transfer latency (HyperTransport-ish).
@@ -100,13 +100,6 @@ struct SimConfig {
   bool provenance = false;
 
   std::uint64_t seed = 1;
-
-  SimConfig() {
-    l3.size_bytes = 2 * 1024 * 1024;
-    l3.line_bytes = 64;
-    l3.ways = 16;
-    l3.latency = 50;
-  }
 
   /// Sanity-check the configuration. `nsub` is the conflict detector's
   /// sub-block count (1 for per-line detectors). Returns an empty string

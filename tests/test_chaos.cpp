@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "fault/chaos.hpp"
+#include "harness/knobs.hpp"
 
 namespace asfsim {
 namespace {
@@ -82,7 +83,7 @@ TEST(Mutations, NewMutationNamesRoundTrip) {
         ProtocolMutation::kStalePiggybackMask,
         ProtocolMutation::kBackoffNeverSleeps}) {
     ProtocolMutation parsed = ProtocolMutation::kNone;
-    ASSERT_TRUE(parse_mutation(to_string(m), parsed)) << to_string(m);
+    ASSERT_TRUE(knobs::parse_name(to_string(m), parsed)) << to_string(m);
     EXPECT_EQ(parsed, m);
   }
 }

@@ -16,6 +16,7 @@
 #include "guest/garray.hpp"
 #include "guest/machine.hpp"
 #include "harness/experiment.hpp"
+#include "harness/knobs.hpp"
 #include "runner/runner.hpp"
 #include "sim/config.hpp"
 #include "stats/serialize.hpp"
@@ -474,7 +475,7 @@ TEST(CmMutations, PolicyMutationNamesRoundTrip) {
         ProtocolMutation::kFallbackLockLeak,
         ProtocolMutation::kSerializeSkipsValidation}) {
     ProtocolMutation parsed = ProtocolMutation::kNone;
-    ASSERT_TRUE(parse_mutation(to_string(m), parsed)) << to_string(m);
+    ASSERT_TRUE(knobs::parse_name(to_string(m), parsed)) << to_string(m);
     EXPECT_EQ(parsed, m);
   }
 }

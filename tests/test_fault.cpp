@@ -8,6 +8,7 @@
 #include "fault/plan.hpp"
 #include "guest/machine.hpp"
 #include "harness/experiment.hpp"
+#include "harness/knobs.hpp"
 #include "htm/backoff.hpp"
 #include "runner/job_spec.hpp"
 #include "runner/runner.hpp"
@@ -313,14 +314,14 @@ TEST(MutationNames, RoundTripAndRejectUnknown) {
         ProtocolMutation::kSkipWrittenMask,
         ProtocolMutation::kSkipCommitValidation}) {
     ProtocolMutation back = ProtocolMutation::kNone;
-    ASSERT_TRUE(parse_mutation(to_string(m), back));
+    ASSERT_TRUE(knobs::parse_name(to_string(m), back));
     EXPECT_EQ(back, m);
   }
   ProtocolMutation out = ProtocolMutation::kSkipWrittenMask;
-  EXPECT_TRUE(parse_mutation("none", out));
+  EXPECT_TRUE(knobs::parse_name("none", out));
   EXPECT_EQ(out, ProtocolMutation::kNone);
-  EXPECT_TRUE(parse_mutation("", out));
-  EXPECT_FALSE(parse_mutation("drop-everything", out));
+  EXPECT_TRUE(knobs::parse_name("", out));
+  EXPECT_FALSE(knobs::parse_name("drop-everything", out));
 }
 
 }  // namespace

@@ -12,7 +12,7 @@ namespace {
 
 CliOptions small() {
   CliOptions o;
-  o.scale = 0.25;
+  o.cfg.params.scale = 0.25;
   return o;
 }
 
@@ -71,7 +71,7 @@ TEST(Figures, Fig4LineDistribution) {
 TEST(Figures, Fig5IntraLineGranularities) {
   std::ostringstream os;
   CliOptions o;
-  o.scale = 0.5;
+  o.cfg.params.scale = 0.5;
   EXPECT_EQ(figures::fig5_intra_line_access(o, os), 0) << os.str();
   // kmeans accesses 4-byte floats; the other three are 8-byte dominated.
   EXPECT_NE(os.str().find("kmeans (dominant granularity: 4 bytes)"),

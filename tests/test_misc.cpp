@@ -11,6 +11,8 @@
 #include "guest/glist.hpp"
 #include "guest/machine.hpp"
 #include "harness/args.hpp"
+#include "knob_fields.hpp"
+#include "runner/job_spec.hpp"
 #include "sim/log.hpp"
 #include "stats/report.hpp"
 #include "stats/txtrace.hpp"
@@ -220,23 +222,116 @@ TEST(CsvWriter, InactiveWithoutDirActiveWithIt) {
 
 // ---- CLI parsing ----------------------------------------------------------------
 
+CliOptions parse(std::vector<std::string> args) {
+  args.insert(args.begin(), "prog");
+  std::vector<char*> argv;
+  for (std::string& a : args) argv.push_back(a.data());
+  return parse_cli(static_cast<int>(argv.size()), argv.data());
+}
+
+/// Keys of the canonical lines that differ between two configs' specs.
+std::vector<std::string> changed_keys(const ExperimentConfig& a,
+                                      const ExperimentConfig& b) {
+  std::istringstream sa(runner::make_job_spec("counter", a).canonical);
+  std::istringstream sb(runner::make_job_spec("counter", b).canonical);
+  std::vector<std::string> keys;
+  for (std::string la, lb; std::getline(sa, la) && std::getline(sb, lb);) {
+    if (la != lb) keys.push_back(la.substr(0, la.find(' ')));
+  }
+  return keys;
+}
+
+/// A value for row k other than its default that passes the row's range:
+/// the next one up, else the floor of the range.
+std::string non_default(const knobs::Knob& k) {
+  ExperimentConfig c;
+  knob_fields::bump(k.type, knobs::field(k, c));
+  const std::string up = knobs::show(k, knobs::field(k, c));
+  ExperimentConfig probe;
+  if (knobs::parse(k, knobs::field(k, probe), up)) return up;
+  char buf[32];
+  std::snprintf(buf, sizeof(buf), "%.15g", k.lo);
+  return buf;
+}
+
+// Parsing `<flag> <non-default value>` for every row's flag changes exactly
+// the field the row's jobspec key reads.
 TEST(Cli, ParsesAllFlags) {
-  const char* argv[] = {"prog",      "--scale", "2.5",  "--threads", "4",
-                        "--seed",    "99",      "--csv", "/tmp/x"};
-  const CliOptions o = parse_cli(9, const_cast<char**>(argv));
-  EXPECT_DOUBLE_EQ(o.scale, 2.5);
-  EXPECT_EQ(o.threads, 4u);
-  EXPECT_EQ(o.seed, 99u);
+  ExperimentConfig defaults;
+  for (const knobs::Knob& k : knobs::kKnobs) {
+    if (k.flag == nullptr) continue;
+    std::vector<std::string> args = {k.flag};
+    if (k.type != knobs::Type::kBool) args.push_back(non_default(k));
+    CliOptions o = parse(args);
+    if (k.key == nullptr) {  // host-only: the field moves, the spec does not
+      EXPECT_NE(knobs::show(k, knobs::field(k, o.cfg)),
+                knobs::show(k, knobs::field(k, defaults)))
+          << k.flag;
+      EXPECT_TRUE(changed_keys(o.cfg, defaults).empty()) << k.flag;
+      continue;
+    }
+    EXPECT_EQ(changed_keys(o.cfg, defaults), std::vector<std::string>{k.key})
+        << k.flag << " " << args.back();
+  }
+  const CliOptions o =
+      parse({"--csv", "/tmp/x", "--jobs", "3", "--no-cache", "--trace-dir",
+             "t", "--trace-format", "perfetto"});
   EXPECT_EQ(o.csv_dir, "/tmp/x");
+  EXPECT_EQ(o.jobs, 3u);
+  EXPECT_TRUE(o.no_cache);
+  EXPECT_EQ(o.trace_dir, "t");
+  EXPECT_EQ(o.trace_format, TraceFormat::kPerfetto);
 }
 
 TEST(Cli, DefaultsApply) {
   const char* argv[] = {"prog"};
   const CliOptions o = parse_cli(1, const_cast<char**>(argv), 0.5);
-  EXPECT_DOUBLE_EQ(o.scale, 0.5);
-  EXPECT_EQ(o.threads, 8u);
-  EXPECT_EQ(o.seed, 1u);
+  EXPECT_DOUBLE_EQ(o.cfg.params.scale, 0.5);
+  EXPECT_EQ(o.cfg.params.threads, 8u);
+  EXPECT_EQ(o.cfg.params.seed, 1u);
   EXPECT_TRUE(o.csv_dir.empty());
+}
+
+TEST(Cli, EnumAliasesStillParse) {
+  DetectorKind d = DetectorKind::kPerfect;
+  EXPECT_TRUE(knobs::parse_name("baseline", d));
+  EXPECT_EQ(d, DetectorKind::kBaseline);
+  EXPECT_TRUE(knobs::parse_name("baseline-asf", d));
+  EXPECT_EQ(d, DetectorKind::kBaseline);
+  EXPECT_TRUE(knobs::parse_name("waronly", d));
+  EXPECT_EQ(d, DetectorKind::kWarOnly);
+  EXPECT_TRUE(knobs::parse_name("war-only", d));
+  EXPECT_EQ(d, DetectorKind::kWarOnly);
+  EXPECT_FALSE(knobs::parse_name("subblock4", d));
+  CmPolicyKind p = CmPolicyKind::kSerialize;
+  EXPECT_TRUE(knobs::parse_name("requester-loses", p));
+  EXPECT_EQ(p, CmPolicyKind::kPolite);
+  ProtocolMutation m = ProtocolMutation::kSkipWrittenMask;
+  EXPECT_TRUE(knobs::parse_name("", m));
+  EXPECT_EQ(m, ProtocolMutation::kNone);
+  OltpMix mix = OltpMix::kA;
+  EXPECT_TRUE(knobs::parse_name("custom", mix));
+  EXPECT_EQ(mix, OltpMix::kCustom);
+}
+
+TEST(Cli, BadValuesExitTwoWithOneLine) {
+  const std::pair<std::vector<std::string>, const char*> cases[] = {
+      {{"--threads", "-1"}, "bad value '-1' for --threads \\(an integer in"},
+      {{"--threads", "0"}, "bad value '0' for --threads"},
+      {{"--seed", "12x"}, "bad value '12x' for --seed"},
+      {{"--scale", "banana"}, "'banana' for --scale \\(a number >= 0"},
+      {{"--oltp-theta", "abc"}, "bad value 'abc' for --oltp-theta"},
+      {{"--oltp-theta", "nan"}, "bad value 'nan' for --oltp-theta"},
+      {{"--oltp-payload", "12"}, "'12' for --oltp-payload \\(a multiple of 8"},
+      {{"--cm-karma", "4294967296"}, "bad value '4294967296' for --cm-karma"},
+      {{"--mutate", "drop-everything"}, "one of: none, drop-dirty-subblock"},
+      {{"--trace-format", "xml"}, "bad value 'xml' for --trace-format"},
+      {{"--threads"}, "missing value for --threads"},
+      {{"--frobnicate"}, "unknown flag --frobnicate"},
+  };
+  for (const auto& [args, message] : cases) {
+    EXPECT_EXIT((void)parse(args), ::testing::ExitedWithCode(2), message);
+  }
 }
 
 // ---- TxTrace ----------------------------------------------------------------

@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "harness/experiment.hpp"
+#include "harness/knobs.hpp"
 #include "oltp/oltp_config.hpp"
 #include "oltp/zipf.hpp"
 #include "runner/runner.hpp"
@@ -121,12 +122,12 @@ TEST(OltpConfig, MixNamesRoundTrip) {
   for (const OltpMix m : {OltpMix::kCustom, OltpMix::kA, OltpMix::kB,
                           OltpMix::kC, OltpMix::kD, OltpMix::kE, OltpMix::kF}) {
     OltpMix parsed{};
-    EXPECT_TRUE(parse_oltp_mix(to_string(m), parsed)) << to_string(m);
+    EXPECT_TRUE(knobs::parse_name(to_string(m), parsed)) << to_string(m);
     EXPECT_EQ(parsed, m);
   }
   OltpMix parsed{};
-  EXPECT_FALSE(parse_oltp_mix("g", parsed));
-  EXPECT_TRUE(parse_oltp_mix("", parsed));
+  EXPECT_FALSE(knobs::parse_name("g", parsed));
+  EXPECT_TRUE(knobs::parse_name("", parsed));
   EXPECT_EQ(parsed, OltpMix::kCustom);
 }
 

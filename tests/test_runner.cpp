@@ -6,7 +6,11 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <map>
+#include <string>
+#include <vector>
 
+#include "knob_fields.hpp"
 #include "runner/job_spec.hpp"
 #include "runner/result_cache.hpp"
 #include "runner/runner.hpp"
@@ -64,49 +68,126 @@ TEST(JobSpec, IdenticalConfigsHashIdentically) {
   EXPECT_EQ(a.hash_hex.size(), 16u);
 }
 
+std::vector<std::string> lines(const std::string& text) {
+  std::vector<std::string> out;
+  std::size_t pos = 0;
+  for (std::size_t nl; (nl = text.find('\n', pos)) != std::string::npos;) {
+    out.push_back(text.substr(pos, nl - pos));
+    pos = nl + 1;
+  }
+  return out;
+}
+
+// One test over every row: bumping a field through its row changes exactly
+// that row's line of the canonical text (so no two rows alias one field),
+// and a field that is not hashed changes nothing.
 TEST(JobSpec, EveryKnobChangesTheHash) {
-  const auto base = make_job_spec("counter", small_config());
-  std::vector<JobSpec> variants;
-  variants.push_back(make_job_spec("bank", small_config()));
-  {
-    auto c = small_config();
-    c.detector = DetectorKind::kSubBlock;
-    variants.push_back(make_job_spec("counter", c));
+  const JobSpec base = make_job_spec("counter", small_config());
+  const std::vector<std::string> base_lines = lines(base.canonical);
+  for (const knob_fields::LeafField& f : knob_fields::all()) {
+    ExperimentConfig c = small_config();
+    f.bump(c);
+    const JobSpec v = make_job_spec("counter", c);
+    if (f.row->key == nullptr) {
+      EXPECT_EQ(v.canonical, base.canonical) << f.path;
+      continue;
+    }
+    EXPECT_NE(v.hash_hex, base.hash_hex) << f.path;
+    const std::vector<std::string> v_lines = lines(v.canonical);
+    ASSERT_EQ(v_lines.size(), base_lines.size()) << f.path;
+    int changed = 0;
+    for (std::size_t i = 0; i < v_lines.size(); ++i) {
+      if (v_lines[i] == base_lines[i]) continue;
+      ++changed;
+      EXPECT_EQ(v_lines[i].rfind(std::string(f.row->key) + " ", 0), 0u)
+          << f.path << " changed the line " << v_lines[i];
+    }
+    EXPECT_EQ(changed, 1) << f.path;
   }
-  {
-    auto c = small_config();
-    c.nsub = 8;
-    variants.push_back(make_job_spec("counter", c));
+  // Not a field: the workload name.
+  EXPECT_NE(make_job_spec("bank", small_config()).hash_hex, base.hash_hex);
+}
+
+// FNV-1a hashes of JobSpec::canonical as the hand-written v5 serializer
+// produced it, before the knob table generated it: the default config, every
+// leaf field bumped once (knob_fields::bump), and small_config(). The cache
+// keys of every existing result depend on these; never regenerate them.
+TEST(JobSpec, CanonicalMatchesTheV5Goldens) {
+  const std::map<std::string, std::string> golden = {
+    {"default", "431a8a752f0a7129"},
+    {"workload=bank", "35cdb83c8b224c1d"},
+    {"small_config", "5b087450aaea5779"},
+    {"detector", "137693a712e17fca"},
+    {"nsub", "bd55ed41b9dbfcec"},
+    {"timeseries", "4d5f747678402bae"},
+    {"max_cycles", "aa35328ef666ecb8"},
+    {"params.threads", "cc2942bae9d05af8"},
+    {"params.seed", "84ed62b8588a7c14"},
+    {"params.scale", "781685cc1096f7a8"},
+    {"sim.ncores", "dc2d91b02c471d6e"},
+    {"sim.l1.size_bytes", "5abaa866bf1c51c4"},
+    {"sim.l1.line_bytes", "20bc8443fc1dbcb6"},
+    {"sim.l1.ways", "2b82f048a32621ce"},
+    {"sim.l1.latency", "cffbf801ea1e0940"},
+    {"sim.l2.size_bytes", "35ee87b70236fafa"},
+    {"sim.l2.line_bytes", "337585ed938751dc"},
+    {"sim.l2.ways", "07578a601a1766a6"},
+    {"sim.l2.latency", "5f6506a18018161e"},
+    {"sim.l3.size_bytes", "3361c8b50b036306"},
+    {"sim.l3.line_bytes", "a108b6a25ab01b9c"},
+    {"sim.l3.ways", "f3543ae84a5b51d2"},
+    {"sim.l3.latency", "02440351c393e6ac"},
+    {"sim.mem_latency", "6fc82e41e86dcd90"},
+    {"sim.cache2cache_latency", "ce289f09237cfc82"},
+    {"sim.upgrade_latency", "d59078d1d9879118"},
+    {"sim.bus_occupancy", "3e2d2cc835d7ade0"},
+    {"sim.probe_delay", "8b361ae789270c24"},
+    {"sim.commit_latency", "25b66112ff5f37fc"},
+    {"sim.abort_latency", "15b17c72e9453100"},
+    {"sim.backoff_base", "9bb73fb10e33c83c"},
+    {"sim.backoff_cap_shift", "646b83b27a6dc450"},
+    {"sim.enable_ats", "b18279a770cee316"},
+    {"sim.ats_alpha", "0018e6182b1df1b5"},
+    {"sim.ats_threshold", "9f3991917d57f676"},
+    {"sim.max_tx_retries", "de03e0bab5d35e86"},
+    {"sim.max_capacity_aborts", "287ce67eca36ba44"},
+    {"sim.watchdog_cycles", "ddc9715aa94d1466"},
+    {"sim.fault.spurious_abort_rate", "03f011ce76b42a70"},
+    {"sim.fault.commit_abort_rate", "17fec3c9d5535df0"},
+    {"sim.fault.evict_rate", "a27f64fce1b2a7da"},
+    {"sim.fault.probe_jitter", "ce65121ed11eb396"},
+    {"sim.fault.sched_jitter", "2f2edf40a536d338"},
+    {"sim.fault.mutation", "f64aa5e47ee37236"},
+    {"params.oltp.records", "6a7ecb0abf41df02"},
+    {"params.oltp.payload_bytes", "b9dd47b56f6887b2"},
+    {"params.oltp.tx_len", "eb2e18fde2f7a842"},
+    {"params.oltp.tx_per_thread", "cbfe41084c3665e4"},
+    {"params.oltp.theta", "633b94ff7ffa6d2f"},
+    {"params.oltp.read_ratio", "9809d054b72ecb32"},
+    {"params.oltp.rmw_ratio", "18a19f26c5bfa8e8"},
+    {"params.oltp.scan_ratio", "0de0cd6826228aea"},
+    {"params.oltp.scan_len", "dbe4b24f3d8de22c"},
+    {"params.oltp.mix", "cb6d26e6c1ad4d86"},
+    {"params.oltp.hot_window", "0a11bad9a813d59e"},
+    {"sim.provenance", "524c99c3882c3d30"},
+    {"sim.cm.policy", "5d6acb24a82b5a20"},
+    {"sim.cm.max_retries", "01428dc76f515fbe"},
+    {"sim.cm.karma", "59cb66cab2a0e632"},
+    {"sim.cm.stats", "431730752f07a264"},
+    {"sim.seed", "431a8a752f0a7129"},
+    {"wall_limit_s", "431a8a752f0a7129"},
+  };
+  std::map<std::string, std::string> now = {
+      {"default", make_job_spec("counter", ExperimentConfig{}).hash_hex},
+      {"workload=bank", make_job_spec("bank", ExperimentConfig{}).hash_hex},
+      {"small_config", make_job_spec("counter", small_config()).hash_hex},
+  };
+  for (const knob_fields::LeafField& f : knob_fields::all()) {
+    ExperimentConfig c;
+    f.bump(c);
+    now[f.path] = make_job_spec("counter", c).hash_hex;
   }
-  {
-    auto c = small_config();
-    c.params.seed = 2;
-    variants.push_back(make_job_spec("counter", c));
-  }
-  {
-    auto c = small_config();
-    c.params.scale = 0.250001;
-    variants.push_back(make_job_spec("counter", c));
-  }
-  {
-    auto c = small_config();
-    c.sim.l1.latency += 1;  // a Table II latency
-    variants.push_back(make_job_spec("counter", c));
-  }
-  {
-    auto c = small_config();
-    c.sim.enable_ats = true;
-    variants.push_back(make_job_spec("counter", c));
-  }
-  {
-    auto c = small_config();
-    c.timeseries = true;
-    variants.push_back(make_job_spec("counter", c));
-  }
-  for (const auto& v : variants) {
-    EXPECT_NE(v.canonical, base.canonical);
-    EXPECT_NE(v.hash_hex, base.hash_hex) << v.canonical;
-  }
+  EXPECT_EQ(now, golden);
 }
 
 TEST(JobSpec, MirrorsRunExperimentSeedOverride) {

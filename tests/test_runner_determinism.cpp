@@ -100,8 +100,8 @@ TEST_F(RunnerDeterminism, Fig2TextAndCsvBytesAreIdenticalUnderJobs8) {
   }
 
   CliOptions opts;
-  opts.scale = 0.25;
-  opts.threads = 4;
+  opts.cfg.params.scale = 0.25;
+  opts.cfg.params.threads = 4;
   opts.no_cache = true;
 
   opts.jobs = 1;

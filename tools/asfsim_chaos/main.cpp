@@ -1,26 +1,15 @@
-// asfsim_chaos: robustness driver for the fault-injection subsystem.
-//
-// Subcommands:
-//   matrix    run the mutation-kill matrix (clean controls + every
-//             --mutate variant until an oracle kills it). Exit 0 iff all
-//             mutations are killed AND every clean control stays green —
-//             this is what the chaos CI job gates on.
-//   cell      run one chaos cell (detector × seed × fault × mutation) and
-//             print its verdict. Exit 0 iff the verdict is clean.
-//   livelock  run a deliberately livelocked configuration (counter
-//             workload, 256 B direct-mapped L1, fallback disabled) and
-//             demand the kernel watchdog terminates it with a diagnostic
-//             dump. --runner routes the same job through the parallel
-//             runner to demonstrate JobError context propagation.
-//
-// See docs/robustness.md for the mutation catalog and triage guide.
+// asfsim_chaos: robustness driver for the fault-injection subsystem — the
+// mutation-kill matrix the chaos CI job gates on, single chaos cells, and
+// the livelock demos. `asfsim_chaos --help` lists the subcommands and their
+// flags; docs/robustness.md has the mutation catalog and triage guide.
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
+#include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "fault/chaos.hpp"
+#include "harness/args.hpp"
 #include "harness/experiment.hpp"
 #include "runner/runner.hpp"
 #include "sim/kernel.hpp"
@@ -29,121 +18,105 @@ namespace {
 
 using namespace asfsim;
 
-[[noreturn]] void usage(int code) {
-  std::FILE* out = code == 0 ? stdout : stderr;
-  std::fprintf(
-      out,
-      "usage: asfsim_chaos <matrix|cell|livelock> [options]\n"
-      "  matrix [--seeds a,b,c] [--ntx N] [--audit N] [--verbose]\n"
-      "  cell --mutate NAME [--detector baseline|subblock] [--nsub N]\n"
-      "       [--seed N] [--ntx N] [--audit N]\n"
-      "       [--cm-policy requester-wins|polite|timestamp|serialize]\n"
-      "       [--cm-max-retries N] [--cm-karma N] [--max-tx-retries N]\n"
-      "  livelock [--runner | --serialize]\n"
-      "    --serialize reruns the livelocked configuration under\n"
-      "    --cm-policy serialize with the watchdog DISARMED and demands\n"
-      "    the fallback escalation alone terminates it.\n"
-      "mutations (--mutate):\n");
-  for (const ProtocolMutation m : all_mutations()) {
-    std::fprintf(out, "  %s\n", to_string(m));
+/// Where every subcommand's flags land.
+struct Options {
+  KillMatrixOptions matrix;
+  ChaosCell cell;
+  ExperimentConfig cfg;  // cell: the --nsub, --mutate and --cm-* rows
+  bool via_runner = false;
+  bool serialize = false;
+};
+
+/// The flags of subcommand `cmd`, writing into `o`.
+std::vector<Flag> flags_of(std::string_view cmd, Options& o) {
+  if (cmd == "matrix") {
+    return {
+        {"--seeds", "a,b,c", "seeds to run every cell with (default 1,9,23)",
+         [&o](const char* v) {
+           o.matrix.seeds.clear();
+           std::istringstream list(v);
+           for (std::string item; std::getline(list, item, ',');) {
+             std::uint64_t seed = 0;
+             if (!knobs::parse_integer(item, 0, UINT64_MAX, seed)) {
+               return std::string("comma-separated integers");
+             }
+             o.matrix.seeds.push_back(seed);
+           }
+           return std::string();
+         }},
+        count_flag("--ntx", "ledger transactions per core (default 60)",
+                   o.matrix.ntx),
+        count_flag("--audit", "cycles between invariant audits (default 500)",
+                   o.matrix.audit_interval, 1),
+        switch_flag("--verbose", "print every cell's outcome",
+                    o.matrix.verbose),
+    };
   }
-  std::exit(code);
+  if (cmd == "cell") {
+    return {
+        knob_flag(knobs::row("--mutate"), o.cfg),
+        {"--detector", "name", "baseline (nsub 1) or subblock (default)",
+         [&o](const char* v) {
+           const std::string_view d = v;
+           if (d != "baseline" && d != "subblock") {
+             return std::string("baseline or subblock");
+           }
+           o.cell.detector = d == "baseline" ? DetectorKind::kBaseline
+                                             : DetectorKind::kSubBlock;
+           if (d == "baseline") o.cfg.nsub = 1;
+           return std::string();
+         }},
+        knob_flag(knobs::row("nsub"), o.cfg, "--nsub"),
+        count_flag("--seed", "cell seed (default 1)", o.cell.seed),
+        count_flag("--ntx", "ledger transactions per core (default 60)",
+                   o.cell.ntx),
+        count_flag("--audit", "cycles between invariant audits (default 500)",
+                   o.cell.audit_interval, 1),
+        knob_flag(knobs::row("--cm-policy"), o.cfg),
+        knob_flag(knobs::row("--cm-max-retries"), o.cfg),
+        knob_flag(knobs::row("--cm-karma"), o.cfg),
+        count_flag("--max-tx-retries",
+                   "override SimConfig::max_tx_retries (0 = no fallback)",
+                   o.cell.max_tx_retries),
+        count_flag("--ncells", "ledger cells (default 96)", o.cell.ncells, 1),
+    };
+  }
+  return {
+      switch_flag("--runner", "run the job through the parallel runner",
+                  o.via_runner),
+      switch_flag("--serialize",
+                  "rerun under --cm-policy serialize with the watchdog "
+                  "disarmed; the fallback alone must end it",
+                  o.serialize),
+  };
 }
 
-std::uint64_t parse_u64(const char* s) {
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(s, &end, 10);
-  if (end == s || *end != '\0') {
-    std::fprintf(stderr, "asfsim_chaos: bad number '%s'\n", s);
-    std::exit(2);
+std::string usage() {
+  Options o;
+  std::string s =
+      "usage: asfsim_chaos <matrix|cell|livelock> [flags]\n"
+      "  matrix    mutation-kill matrix: exit 0 iff every mutation is killed "
+      "and every clean control stays green\n"
+      "  cell      one chaos cell; exit 0 iff its verdict is clean\n"
+      "  livelock  a livelocked run the watchdog (or, with --serialize, the "
+      "fallback) must end\n";
+  for (const char* cmd : {"matrix", "cell", "livelock"}) {
+    s += std::string(cmd) + " flags:\n" + flag_help(flags_of(cmd, o));
   }
-  return v;
+  return s;
 }
 
-const char* next_arg(int argc, char** argv, int& i) {
-  if (i + 1 >= argc) {
-    std::fprintf(stderr, "asfsim_chaos: %s needs a value\n", argv[i]);
-    std::exit(2);
-  }
-  return argv[++i];
-}
-
-int cmd_matrix(int argc, char** argv) {
-  KillMatrixOptions opt;
-  for (int i = 0; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--seeds") == 0) {
-      opt.seeds.clear();
-      std::string list = next_arg(argc, argv, i);
-      for (std::size_t pos = 0; pos < list.size();) {
-        const std::size_t comma = list.find(',', pos);
-        const std::size_t end = comma == std::string::npos ? list.size() : comma;
-        opt.seeds.push_back(parse_u64(list.substr(pos, end - pos).c_str()));
-        pos = end + 1;
-      }
-    } else if (std::strcmp(argv[i], "--ntx") == 0) {
-      opt.ntx = static_cast<int>(parse_u64(next_arg(argc, argv, i)));
-    } else if (std::strcmp(argv[i], "--audit") == 0) {
-      opt.audit_interval = parse_u64(next_arg(argc, argv, i));
-    } else if (std::strcmp(argv[i], "--verbose") == 0) {
-      opt.verbose = true;
-    } else {
-      usage(2);
-    }
-  }
-  const KillMatrixReport report = run_kill_matrix(opt);
+int cmd_matrix(const Options& o) {
+  const KillMatrixReport report = run_kill_matrix(o.matrix);
   std::printf("%s\n", report.summary().c_str());
   return report.all_green() ? 0 : 1;
 }
 
-int cmd_cell(int argc, char** argv) {
-  ChaosCell cell;
-  for (int i = 0; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--mutate") == 0) {
-      const char* name = next_arg(argc, argv, i);
-      if (!parse_mutation(name, cell.fault.mutation)) {
-        std::fprintf(stderr, "asfsim_chaos: unknown mutation '%s'\n", name);
-        return 2;
-      }
-    } else if (std::strcmp(argv[i], "--detector") == 0) {
-      const char* d = next_arg(argc, argv, i);
-      if (std::strcmp(d, "baseline") == 0) {
-        cell.detector = DetectorKind::kBaseline;
-        cell.nsub = 1;
-      } else if (std::strcmp(d, "subblock") == 0) {
-        cell.detector = DetectorKind::kSubBlock;
-      } else {
-        std::fprintf(stderr, "asfsim_chaos: unknown detector '%s'\n", d);
-        return 2;
-      }
-    } else if (std::strcmp(argv[i], "--nsub") == 0) {
-      cell.nsub = static_cast<std::uint32_t>(parse_u64(next_arg(argc, argv, i)));
-    } else if (std::strcmp(argv[i], "--seed") == 0) {
-      cell.seed = parse_u64(next_arg(argc, argv, i));
-    } else if (std::strcmp(argv[i], "--ntx") == 0) {
-      cell.ntx = static_cast<int>(parse_u64(next_arg(argc, argv, i)));
-    } else if (std::strcmp(argv[i], "--audit") == 0) {
-      cell.audit_interval = parse_u64(next_arg(argc, argv, i));
-    } else if (std::strcmp(argv[i], "--cm-policy") == 0) {
-      const char* name = next_arg(argc, argv, i);
-      if (!parse_cm_policy(name, cell.cm.policy)) {
-        std::fprintf(stderr, "asfsim_chaos: unknown policy '%s'\n", name);
-        return 2;
-      }
-    } else if (std::strcmp(argv[i], "--cm-max-retries") == 0) {
-      cell.cm.max_retries =
-          static_cast<std::uint32_t>(parse_u64(next_arg(argc, argv, i)));
-    } else if (std::strcmp(argv[i], "--cm-karma") == 0) {
-      cell.cm.karma =
-          static_cast<std::uint32_t>(parse_u64(next_arg(argc, argv, i)));
-    } else if (std::strcmp(argv[i], "--max-tx-retries") == 0) {
-      cell.max_tx_retries =
-          static_cast<std::int32_t>(parse_u64(next_arg(argc, argv, i)));
-    } else if (std::strcmp(argv[i], "--ncells") == 0) {
-      cell.ncells = parse_u64(next_arg(argc, argv, i));
-    } else {
-      usage(2);
-    }
-  }
+int cmd_cell(const Options& o) {
+  ChaosCell cell = o.cell;
+  cell.nsub = o.cfg.nsub;
+  cell.fault.mutation = o.cfg.sim.fault.mutation;
+  cell.cm = o.cfg.sim.cm;
   const ChaosCellResult r = run_chaos_cell(cell);
   std::printf("verdict: %s\n", to_string(r.verdict));
   if (!r.detail.empty()) std::printf("detail: %s\n", r.detail.c_str());
@@ -171,20 +144,9 @@ ExperimentConfig livelocked_config() {
   return cfg;
 }
 
-int cmd_livelock(int argc, char** argv) {
-  bool via_runner = false;
-  bool serialize = false;
-  for (int i = 0; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--runner") == 0) {
-      via_runner = true;
-    } else if (std::strcmp(argv[i], "--serialize") == 0) {
-      serialize = true;
-    } else {
-      usage(2);
-    }
-  }
+int cmd_livelock(const Options& o) {
   ExperimentConfig cfg = livelocked_config();
-  if (serialize) {
+  if (o.serialize) {
     // The guaranteed-termination demo (docs/contention.md §3): same
     // livelocked configuration, but the serialize policy re-enables the
     // fallback escalation. The watchdog stays DISARMED — termination must
@@ -211,7 +173,7 @@ int cmd_livelock(int argc, char** argv) {
     return 0;
   }
   try {
-    if (via_runner) {
+    if (o.via_runner) {
       runner::RunnerOptions ro;
       ro.use_cache = false;
       ro.jobs = 2;
@@ -238,18 +200,18 @@ int cmd_livelock(int argc, char** argv) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (argc < 2) usage(2);
-  if (std::strcmp(argv[1], "--help") == 0 || std::strcmp(argv[1], "-h") == 0) {
-    usage(0);
+  const std::string_view cmd = argc < 2 ? "" : argv[1];
+  if (cmd == "--help" || cmd == "-h") {
+    std::fputs(usage().c_str(), stdout);
+    return 0;
   }
-  if (std::strcmp(argv[1], "matrix") == 0) {
-    return cmd_matrix(argc - 2, argv + 2);
+  if (cmd != "matrix" && cmd != "cell" && cmd != "livelock") {
+    std::fputs(usage().c_str(), stderr);
+    return 2;
   }
-  if (std::strcmp(argv[1], "cell") == 0) {
-    return cmd_cell(argc - 2, argv + 2);
-  }
-  if (std::strcmp(argv[1], "livelock") == 0) {
-    return cmd_livelock(argc - 2, argv + 2);
-  }
-  usage(2);
+  Options o;
+  parse_flags(argc, argv, 2, flags_of(cmd, o), usage());
+  if (cmd == "matrix") return cmd_matrix(o);
+  if (cmd == "cell") return cmd_cell(o);
+  return cmd_livelock(o);
 }

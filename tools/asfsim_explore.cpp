@@ -4,41 +4,9 @@
 //   $ asfsim_explore --workload vacation --detector subblock --nsub 4
 //   $ asfsim_explore --workload ssca2 --detector perfect --scale 2 --seed 9
 //   $ asfsim_explore --list
-//
-// Flags beyond the common set (--scale/--threads/--seed/--csv):
-//   --workload <name>   workload to run (default: counter)
-//   --detector <name>   baseline | subblock | subblock-wawline |
-//                       subblock-nodirty | perfect | war-only
-//   --nsub <n>          sub-blocks per line for the sub-block detectors
-//   --ats               enable adaptive transaction scheduling
-//   --trace <n>         print the last n transaction events after the run
-//   --list              list registered workloads and exit
-//
-// Robustness knobs (docs/robustness.md):
-//   --fault-spurious p / --fault-commit p / --fault-evict p
-//   --fault-probe-jitter n / --fault-sched-jitter n
-//   --mutate <name>     deliberately break one sub-block protocol rule
-//   --watchdog <n>      livelock watchdog: abort + diagnose after n
-//                       cycles without a commit
-//
-// OLTP/KV workload family knobs (docs/workloads.md; only the `oltp`
-// workload reads them): --oltp-records/--oltp-payload/--oltp-tx-len/
-// --oltp-tx/--oltp-theta/--oltp-read-ratio/--oltp-rmw-ratio/
-// --oltp-scan-ratio/--oltp-scan-len/--oltp-hot-window/
-// --oltp-mix <a..f|custom>
-//
-// Contention management (docs/contention.md):
-//   --cm-policy <name>  requester-wins | polite | timestamp | serialize
-//   --cm-max-retries n  serialize policy's bounded-retry threshold
-//   --cm-karma <n>      timestamp policy's per-abort priority credit
-//   --cm-stats          print the per-core starvation/fairness section
-//
-// Observability (docs/observability.md):
-//   --prov              conflict provenance: per-site conflict attribution
-//                       in the printed report
+//   $ asfsim_explore --help     (the flag reference)
 #include <algorithm>
 #include <cstdio>
-#include <cstring>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -53,17 +21,6 @@
 using namespace asfsim;
 
 namespace {
-
-DetectorKind parse_detector(const std::string& name) {
-  if (name == "baseline" || name == "baseline-asf") return DetectorKind::kBaseline;
-  if (name == "subblock") return DetectorKind::kSubBlock;
-  if (name == "subblock-wawline") return DetectorKind::kSubBlockWawLine;
-  if (name == "subblock-nodirty") return DetectorKind::kSubBlockNoDirty;
-  if (name == "perfect") return DetectorKind::kPerfect;
-  if (name == "war-only" || name == "waronly") return DetectorKind::kWarOnly;
-  std::fprintf(stderr, "unknown detector '%s'\n", name.c_str());
-  std::exit(2);
-}
 
 void print_report(const ExperimentResult& r, std::uint32_t threads) {
   const Stats& s = r.stats;
@@ -190,134 +147,41 @@ void print_report(const ExperimentResult& r, std::uint32_t threads) {
 
 int main(int argc, char** argv) {
   std::string workload = "counter";
-  std::string detector = "baseline";
-  std::uint32_t nsub = 4;
-  bool ats = false;
-  std::size_t trace_depth = 0;
-  CliOptions common;
-
-  for (int i = 1; i < argc; ++i) {
-    auto need = [&](const char* flag) -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "missing value for %s\n", flag);
-        std::exit(2);
-      }
-      return argv[++i];
-    };
-    if (!std::strcmp(argv[i], "--workload")) {
-      workload = need("--workload");
-    } else if (!std::strcmp(argv[i], "--detector")) {
-      detector = need("--detector");
-    } else if (!std::strcmp(argv[i], "--nsub")) {
-      nsub = static_cast<std::uint32_t>(std::atoi(need("--nsub")));
-    } else if (!std::strcmp(argv[i], "--ats")) {
-      ats = true;
-    } else if (!std::strcmp(argv[i], "--trace")) {
-      trace_depth = static_cast<std::size_t>(std::atoll(need("--trace")));
-    } else if (!std::strcmp(argv[i], "--scale")) {
-      common.scale = std::atof(need("--scale"));
-    } else if (!std::strcmp(argv[i], "--threads")) {
-      common.threads = static_cast<std::uint32_t>(std::atoi(need("--threads")));
-    } else if (!std::strcmp(argv[i], "--seed")) {
-      common.seed = static_cast<std::uint64_t>(std::atoll(need("--seed")));
-    } else if (!std::strcmp(argv[i], "--fault-spurious")) {
-      common.fault_spurious = std::atof(need("--fault-spurious"));
-    } else if (!std::strcmp(argv[i], "--fault-commit")) {
-      common.fault_commit = std::atof(need("--fault-commit"));
-    } else if (!std::strcmp(argv[i], "--fault-evict")) {
-      common.fault_evict = std::atof(need("--fault-evict"));
-    } else if (!std::strcmp(argv[i], "--fault-probe-jitter")) {
-      common.fault_probe_jitter =
-          static_cast<std::uint64_t>(std::atoll(need("--fault-probe-jitter")));
-    } else if (!std::strcmp(argv[i], "--fault-sched-jitter")) {
-      common.fault_sched_jitter =
-          static_cast<std::uint64_t>(std::atoll(need("--fault-sched-jitter")));
-    } else if (!std::strcmp(argv[i], "--mutate")) {
-      common.mutate = need("--mutate");
-      ProtocolMutation mut = ProtocolMutation::kNone;
-      if (!parse_mutation(common.mutate, mut)) {
-        std::fprintf(stderr, "unknown --mutate %s (try --help)\n",
-                     common.mutate.c_str());
-        return 2;
-      }
-    } else if (!std::strcmp(argv[i], "--watchdog")) {
-      common.watchdog =
-          static_cast<std::uint64_t>(std::atoll(need("--watchdog")));
-    } else if (!std::strcmp(argv[i], "--oltp-records")) {
-      common.oltp.records =
-          static_cast<std::uint64_t>(std::atoll(need("--oltp-records")));
-    } else if (!std::strcmp(argv[i], "--oltp-payload")) {
-      common.oltp.payload_bytes =
-          static_cast<std::uint32_t>(std::atoi(need("--oltp-payload")));
-    } else if (!std::strcmp(argv[i], "--oltp-tx-len")) {
-      common.oltp.tx_len =
-          static_cast<std::uint32_t>(std::atoi(need("--oltp-tx-len")));
-    } else if (!std::strcmp(argv[i], "--oltp-tx")) {
-      common.oltp.tx_per_thread =
-          static_cast<std::uint64_t>(std::atoll(need("--oltp-tx")));
-    } else if (!std::strcmp(argv[i], "--oltp-theta")) {
-      common.oltp.theta = std::atof(need("--oltp-theta"));
-    } else if (!std::strcmp(argv[i], "--oltp-read-ratio")) {
-      common.oltp.read_ratio = std::atof(need("--oltp-read-ratio"));
-    } else if (!std::strcmp(argv[i], "--oltp-rmw-ratio")) {
-      common.oltp.rmw_ratio = std::atof(need("--oltp-rmw-ratio"));
-    } else if (!std::strcmp(argv[i], "--oltp-scan-ratio")) {
-      common.oltp.scan_ratio = std::atof(need("--oltp-scan-ratio"));
-    } else if (!std::strcmp(argv[i], "--oltp-scan-len")) {
-      common.oltp.scan_len =
-          static_cast<std::uint32_t>(std::atoi(need("--oltp-scan-len")));
-    } else if (!std::strcmp(argv[i], "--oltp-hot-window")) {
-      common.oltp.hot_window =
-          static_cast<std::uint64_t>(std::atoll(need("--oltp-hot-window")));
-    } else if (!std::strcmp(argv[i], "--prov")) {
-      common.prov = true;
-    } else if (!std::strcmp(argv[i], "--cm-policy")) {
-      const char* name = need("--cm-policy");
-      if (!parse_cm_policy(name, common.cm.policy)) {
-        std::fprintf(stderr, "unknown --cm-policy %s (try --help)\n", name);
-        return 2;
-      }
-    } else if (!std::strcmp(argv[i], "--cm-max-retries")) {
-      common.cm.max_retries =
-          static_cast<std::uint32_t>(std::atoi(need("--cm-max-retries")));
-    } else if (!std::strcmp(argv[i], "--cm-karma")) {
-      common.cm.karma =
-          static_cast<std::uint32_t>(std::atoi(need("--cm-karma")));
-    } else if (!std::strcmp(argv[i], "--cm-stats")) {
-      common.cm.stats = true;
-    } else if (!std::strcmp(argv[i], "--oltp-mix")) {
-      const char* name = need("--oltp-mix");
-      if (!parse_oltp_mix(name, common.oltp.mix)) {
-        std::fprintf(stderr, "unknown --oltp-mix %s (try --help)\n", name);
-        return 2;
-      }
-    } else if (!std::strcmp(argv[i], "--list")) {
-      for (const auto& w : workload_registry()) {
-        std::printf("%-14s %s\n", w.name, w.make()->description());
-      }
-      return 0;
-    } else if (!std::strcmp(argv[i], "--help")) {
-      std::printf("see the comment block at the top of tools/asfsim_explore.cpp\n");
-      return 0;
-    } else {
-      std::fprintf(stderr, "unknown flag %s (try --help)\n", argv[i]);
-      return 2;
+  std::uint64_t trace_depth = 0;
+  bool list = false;
+  ExperimentConfig cfg;
+  std::vector<Flag> flags = {
+      text_flag("--workload", "name", "workload to run (default counter)",
+                workload),
+      knob_flag(knobs::row("detector"), cfg, "--detector"),
+      knob_flag(knobs::row("nsub"), cfg, "--nsub"),
+      knob_flag(knobs::row("enable_ats"), cfg, "--ats"),
+      count_flag("--trace", "print the last n transaction events",
+                 trace_depth),
+      switch_flag("--list", "list registered workloads and exit", list),
+  };
+  // Every hashed knob with a flag; host-only knobs need the runner.
+  for (const knobs::Knob& k : knobs::kKnobs) {
+    if (k.flag != nullptr && k.key != nullptr) {
+      flags.push_back(knob_flag(k, cfg));
     }
   }
-
-  ExperimentConfig cfg;
-  cfg.detector = parse_detector(detector);
-  cfg.nsub = nsub;
-  cfg.params.threads = common.threads;
-  cfg.params.seed = common.seed;
-  cfg.params.scale = common.scale;
-  cfg.sim.ncores = common.threads;
-  cfg.sim.enable_ats = ats;
-  apply_robustness_options(common, cfg);
+  parse_flags(argc, argv, 1, flags,
+              "usage: asfsim_explore [flags]\n"
+              "Runs one workload under one detector and prints its full "
+              "statistics.\n" +
+                  flag_help(flags));
+  if (list) {
+    for (const auto& w : workload_registry()) {
+      std::printf("%-14s %s\n", w.name, w.make()->description());
+    }
+    return 0;
+  }
+  cfg.sim.ncores = cfg.params.threads;
 
   if (trace_depth == 0) {
     const ExperimentResult r = run_experiment(workload, cfg);
-    print_report(r, common.threads);
+    print_report(r, cfg.params.threads);
     return r.ok() ? 0 : 1;
   }
 
@@ -334,7 +198,7 @@ int main(int argc, char** argv) {
   r.detector = m.detector().name();
   r.validation_error = wl->validate(m);
   r.stats = m.stats();
-  print_report(r, common.threads);
+  print_report(r, cfg.params.threads);
   std::printf("\n-- last %zu of %llu transaction events --\n",
               trace.events().size(),
               (unsigned long long)trace.total_recorded());

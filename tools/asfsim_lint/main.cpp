@@ -114,14 +114,8 @@ void print_rules() {
       << "       affecting code: iteration order is unspecified and varies\n"
       << "       across stdlib implementations; order-sensitive effects\n"
       << "       break run-to-run determinism.\n"
-      << kRuleHashCompleteness
-      << "  (M1) cross-TU: every SimConfig/CacheLevelConfig/FaultConfig\n"
-      << "       field must be serialized into JobSpec::canonical\n"
-      << "       (runner/job_spec.cpp), or the content-addressed result\n"
-      << "       cache returns stale results for configs differing in the\n"
-      << "       missing field.\n"
       << kRuleStatsBlobCompleteness
-      << "  (M2) cross-TU: every Stats counter (stats/counters.hpp) must\n"
+      << "  (M1) cross-TU: every Stats counter (stats/counters.hpp) must\n"
       << "       appear in both serialize_stats and deserialize_stats\n"
       << "       (stats/serialize.cpp), or the blob round-trip silently\n"
       << "       drops it.\n";

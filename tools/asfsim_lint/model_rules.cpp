@@ -13,22 +13,12 @@ bool ends_with(const std::string& s, const std::string& suffix) {
 }
 
 // Role suffixes: where each model file lives relative to its tree root.
-constexpr const char* kConfigSuffix = "sim/config.hpp";
-constexpr const char* kFaultConfigSuffix = "fault/fault_config.hpp";
-constexpr const char* kOltpConfigSuffix = "oltp/oltp_config.hpp";
-constexpr const char* kCmConfigSuffix = "cm/cm_config.hpp";
-constexpr const char* kJobSpecSuffix = "runner/job_spec.cpp";
 constexpr const char* kCountersSuffix = "stats/counters.hpp";
 constexpr const char* kSerializeSuffix = "stats/serialize.cpp";
 
 struct ModelGroup {
-  const ParsedFile* config = nullptr;        // sim/config.hpp
-  const ParsedFile* fault_config = nullptr;  // fault/fault_config.hpp
-  const ParsedFile* oltp_config = nullptr;   // oltp/oltp_config.hpp
-  const ParsedFile* cm_config = nullptr;     // cm/cm_config.hpp
-  const ParsedFile* job_spec = nullptr;      // runner/job_spec.cpp
-  const ParsedFile* counters = nullptr;      // stats/counters.hpp
-  const ParsedFile* serialize = nullptr;     // stats/serialize.cpp
+  const ParsedFile* counters = nullptr;   // stats/counters.hpp
+  const ParsedFile* serialize = nullptr;  // stats/serialize.cpp
 };
 
 /// Does `name` occur in [begin, end) of the file's tokens — as an exact
@@ -47,39 +37,6 @@ bool name_in_range(const LexedFile& f, std::size_t begin, std::size_t end,
   return false;
 }
 
-bool name_in_file(const ParsedFile& pf, const std::string& name) {
-  return name_in_range(pf.file, 0, pf.file.tokens.size(), name);
-}
-
-void report(std::vector<Diagnostic>& out, const ParsedFile& at_file,
-            const FieldDecl& field, const char* rule, std::string message,
-            std::string hint) {
-  if (at_file.file.suppressions.allows(rule, field.line)) return;
-  out.push_back({at_file.file.path, field.line, rule, std::move(message),
-                 std::move(hint), {}});
-}
-
-/// hash-completeness over one config file's structs against the group's
-/// job_spec.cpp.
-void check_hash_file(const ParsedFile& config_file, const ParsedFile& spec,
-                     std::vector<Diagnostic>& out) {
-  for (const StructDecl& s : config_file.ast.structs) {
-    for (const FieldDecl& f : s.fields) {
-      if (name_in_file(spec, f.name)) continue;
-      report(out, config_file, f, kRuleHashCompleteness,
-             "field '" + s.name + "::" + f.name +
-                 "' is not serialized into JobSpec::canonical (" +
-                 spec.file.path +
-                 ") — a config field outside the canonical string poisons "
-                 "the result cache: two configs differing only here hash "
-                 "identically and share a cached result",
-             "add  kv(\"" + f.name + "\", c." + f.name +
-                 ");  (or the matching nested spelling) to "
-                 "JobSpec::canonical");
-    }
-  }
-}
-
 /// stats-blob-completeness: every Stats field in both serializer bodies.
 void check_stats(const ParsedFile& counters, const ParsedFile& serialize,
                  std::vector<Diagnostic>& out) {
@@ -95,18 +52,23 @@ void check_stats(const ParsedFile& counters, const ParsedFile& serialize,
     const bool in_de =
         name_in_range(serialize.file, de->body_open, de->body_close + 1,
                       f.name);
-    if (in_ser && in_de) continue;
+    if ((in_ser && in_de) || counters.file.suppressions.allows(
+                                  kRuleStatsBlobCompleteness, f.line)) {
+      continue;
+    }
     const char* where = (!in_ser && !in_de) ? "serialize_stats and "
                                               "deserialize_stats"
                         : !in_ser           ? "serialize_stats"
                                             : "deserialize_stats";
-    report(out, counters, f, kRuleStatsBlobCompleteness,
-           "Stats counter '" + f.name + "' is missing from " + where +
-               " (" + serialize.file.path +
-               ") — the stats blob round-trip silently drops it and every "
-               "archived/cached result loses the value",
-           "serialize it with put(out, \"" + f.name + "\", s." + f.name +
-               ") and parse it back in deserialize_stats");
+    out.push_back(
+        {counters.file.path, f.line, kRuleStatsBlobCompleteness,
+         "Stats counter '" + f.name + "' is missing from " + where + " (" +
+             serialize.file.path +
+             ") — the stats blob round-trip silently drops it and every "
+             "archived/cached result loses the value",
+         "serialize it with put(out, \"" + f.name + "\", s." + f.name +
+             ") and parse it back in deserialize_stats",
+         {}});
   }
 }
 
@@ -123,29 +85,12 @@ std::vector<Diagnostic> check_model(const std::vector<ParsedFile>& files) {
       const std::string key = p.substr(0, p.size() - std::string(suffix).size());
       groups[key].*slot = &pf;
     };
-    claim(kConfigSuffix, &ModelGroup::config);
-    claim(kFaultConfigSuffix, &ModelGroup::fault_config);
-    claim(kOltpConfigSuffix, &ModelGroup::oltp_config);
-    claim(kCmConfigSuffix, &ModelGroup::cm_config);
-    claim(kJobSpecSuffix, &ModelGroup::job_spec);
     claim(kCountersSuffix, &ModelGroup::counters);
     claim(kSerializeSuffix, &ModelGroup::serialize);
   }
 
   std::vector<Diagnostic> out;
   for (const auto& [key, g] : groups) {
-    if (g.job_spec != nullptr) {
-      if (g.config != nullptr) check_hash_file(*g.config, *g.job_spec, out);
-      if (g.fault_config != nullptr) {
-        check_hash_file(*g.fault_config, *g.job_spec, out);
-      }
-      if (g.oltp_config != nullptr) {
-        check_hash_file(*g.oltp_config, *g.job_spec, out);
-      }
-      if (g.cm_config != nullptr) {
-        check_hash_file(*g.cm_config, *g.job_spec, out);
-      }
-    }
     if (g.counters != nullptr && g.serialize != nullptr) {
       check_stats(*g.counters, *g.serialize, out);
     }

@@ -1,13 +1,9 @@
-// asfsim_lint model-consistency pass: cross-translation-unit checks that
-// keep the simulator's serialized model in sync with its declared model.
+// asfsim_lint model-consistency pass: a cross-translation-unit check that
+// keeps the simulator's serialized model in sync with its declared model.
+// (Config fields need no such check: every one has a row in the knob table,
+// harness/knobs.hpp, which the jobspec hash is generated from, and a
+// static_assert there counts each config struct's fields.)
 //
-//   hash-completeness         every SimConfig/CacheLevelConfig/FaultConfig
-//                             field must be serialized into
-//                             JobSpec::canonical (runner/job_spec.cpp). A
-//                             field outside the canonical string silently
-//                             poisons the content-addressed result cache:
-//                             two configs differing only in that field hash
-//                             identically and share a cache entry.
 //   stats-blob-completeness   every Stats data member (stats/counters.hpp)
 //                             must appear in BOTH serialize_stats and
 //                             deserialize_stats (stats/serialize.cpp), or
@@ -25,7 +21,7 @@
 
 namespace asfsim_lint {
 
-/// Run the model-consistency rules over the whole scan set. Diagnostics are
+/// Run the model-consistency rule over the whole scan set. Diagnostics are
 /// anchored at the missing field's declaration, so suppressions sit on the
 /// field itself.
 std::vector<Diagnostic> check_model(const std::vector<ParsedFile>& files);

@@ -21,8 +21,8 @@
 //                              simulator-affecting code — iteration order
 //                              varies across stdlib implementations and runs
 //
-// The cross-TU model-consistency rules (hash-completeness,
-// stats-blob-completeness) live in model_rules.{hpp,cpp}.
+// The cross-TU model-consistency rule (stats-blob-completeness) lives in
+// model_rules.{hpp,cpp}.
 #pragma once
 
 #include <cstdint>
@@ -43,7 +43,6 @@ inline constexpr const char* kRuleRawGuestAccess = "raw-guest-access";
 inline constexpr const char* kRuleNondeterministicSource =
     "nondeterministic-source";
 inline constexpr const char* kRuleUnorderedIteration = "unordered-iteration";
-inline constexpr const char* kRuleHashCompleteness = "hash-completeness";
 inline constexpr const char* kRuleStatsBlobCompleteness =
     "stats-blob-completeness";
 
