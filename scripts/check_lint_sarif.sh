@@ -44,7 +44,7 @@ ids = [r["id"] for r in rules]
 need(len(ids) == len(set(ids)), "rule ids unique")
 need(set(ids) == {"coawait-in-condition", "discarded-task", "global-alloc-in-tx",
                   "raw-guest-access", "nondeterministic-source",
-                  "unordered-iteration", "stats-blob-completeness"},
+                  "unordered-iteration"},
      "driver.rules lists exactly the rules asfsim_lint runs")
 for r in rules:
     need("shortDescription" in r and "text" in r["shortDescription"], f"rule {r['id']} shortDescription")

@@ -85,19 +85,20 @@ Cycle FaultPlan::sched_jitter(CoreId core) {
   return j;
 }
 
-std::string FaultPlan::summary() const {
-  char buf[256];
+std::string to_string(const FaultCounters& fc) {
+  char buf[320];
   std::snprintf(
       buf, sizeof(buf),
-      "faults: %llu spurious, %llu commit-fail, %llu evictions, "
-      "%llu+%llu jitter events (%llu+%llu cycles)",
-      static_cast<unsigned long long>(counters_.spurious_aborts),
-      static_cast<unsigned long long>(counters_.commit_aborts),
-      static_cast<unsigned long long>(counters_.forced_evictions),
-      static_cast<unsigned long long>(counters_.probe_jitter_events),
-      static_cast<unsigned long long>(counters_.sched_jitter_events),
-      static_cast<unsigned long long>(counters_.probe_jitter_cycles),
-      static_cast<unsigned long long>(counters_.sched_jitter_cycles));
+      "injected faults: spurious aborts %llu, commit aborts %llu, forced "
+      "evictions %llu; probe jitter %llu events / %llu cycles, sched jitter "
+      "%llu events / %llu cycles",
+      static_cast<unsigned long long>(fc.spurious_aborts),
+      static_cast<unsigned long long>(fc.commit_aborts),
+      static_cast<unsigned long long>(fc.forced_evictions),
+      static_cast<unsigned long long>(fc.probe_jitter_events),
+      static_cast<unsigned long long>(fc.probe_jitter_cycles),
+      static_cast<unsigned long long>(fc.sched_jitter_events),
+      static_cast<unsigned long long>(fc.sched_jitter_cycles));
   return buf;
 }
 

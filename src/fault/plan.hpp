@@ -30,6 +30,10 @@ struct FaultCounters {
   Cycle sched_jitter_cycles = 0;
 };
 
+/// One-line human summary of what was injected: the watchdog's livelock
+/// dump and the fault-sweep audit print it.
+[[nodiscard]] std::string to_string(const FaultCounters& fc);
+
 class FaultPlan {
  public:
   FaultPlan(const FaultConfig& cfg, std::uint64_t seed, std::uint32_t ncores);
@@ -47,8 +51,6 @@ class FaultPlan {
 
   [[nodiscard]] const FaultConfig& config() const { return cfg_; }
   [[nodiscard]] const FaultCounters& counters() const { return counters_; }
-  /// One-line human summary of what was injected (diagnostics, tools).
-  [[nodiscard]] std::string summary() const;
 
  private:
   FaultConfig cfg_;

@@ -71,7 +71,7 @@ std::string livelock_report(Machine& m) {
   }
 
   if (FaultPlan* plan = m.fault_plan()) {
-    out += plan->summary();
+    out += to_string(plan->counters());
     out += "\n";
   }
   out += "=== end livelock diagnostic ===";

@@ -1325,8 +1325,7 @@ int ablation_fault_sweep(const CliOptions& opts, std::ostream& os) {
     os << "\nInjected-fault audit (executed fault-injected runs only; cache "
           "hits carry no counters):\n";
     for (const auto& [label, fc] : audits) {
-      os << label << "\n";
-      print_fault_counters(os, fc);
+      os << label << "\n  " << to_string(fc) << "\n";
     }
   }
   os << "(injected aborts waste the aborted attempts' cycles; the commit "

@@ -22,6 +22,7 @@
 
 #include "harness/experiment.hpp"
 #include "mem/addr.hpp"
+#include "sim/aggregate.hpp"
 
 namespace asfsim::knobs {
 
@@ -242,23 +243,6 @@ constexpr std::size_t fields_with_rows(Owner o) {
   for (const Knob& k : kCacheLevelKnobs) n += k.owner == o;
   for (const auto& nested : kNested) n += nested.first == o;
   return n;
-}
-
-/// Converts to any field type; only ever probed, never called.
-struct AnyField {
-  template <class T>
-  operator T() const;
-};
-
-/// Number of fields of the aggregate S: the longest S{AnyField...} that
-/// compiles.
-template <class S, class... Fields>
-constexpr std::size_t aggregate_arity() {
-  if constexpr (requires { S{Fields{}..., AnyField{}}; }) {
-    return aggregate_arity<S, Fields..., AnyField>();
-  } else {
-    return sizeof...(Fields);
-  }
 }
 
 /// Compiles only when S (the struct `O` names) has one row per field.

@@ -9,6 +9,7 @@
 #include <utility>
 
 #include "core/detector.hpp"
+#include "harness/knobs.hpp"
 #include "runner/version.hpp"
 
 namespace asfsim::runner {
@@ -19,6 +20,27 @@ unsigned resolve_jobs(unsigned requested) {
   if (requested != 0) return requested;
   const unsigned hw = std::thread::hardware_concurrency();
   return hw != 0 ? hw : 1;
+}
+
+/// The environment's overrides of `opts`. ASFSIM_JOB_TIMEOUT is parsed by
+/// the --job-timeout row, so a bad value exits 2 as the flag does — before
+/// the constructor starts any worker thread.
+RunnerOptions with_env(RunnerOptions opts) {
+  if (const char* env = std::getenv("ASFSIM_JOB_TIMEOUT");
+      env != nullptr && *env != '\0') {
+    const knobs::Knob& k = knobs::row("--job-timeout");
+    if (!knobs::parse(k, &opts.job_wall_limit_s, env)) {
+      std::fprintf(stderr,
+                   "asfsim: bad value '%s' for ASFSIM_JOB_TIMEOUT (%s)\n", env,
+                   knobs::expected(k).c_str());
+      std::exit(2);
+    }
+  }
+  if (const char* env = std::getenv("ASFSIM_FAULT_COUNTERS");
+      env != nullptr && *env != '\0') {
+    opts.manifest_fault_counters = env[0] == '1';
+  }
+  return opts;
 }
 
 bool resolve_progress(RunnerOptions::Progress p) {
@@ -69,22 +91,13 @@ std::string json_escape(const std::string& s) {
 }  // namespace
 
 Runner::Runner(RunnerOptions opts)
-    : opts_(std::move(opts)),
+    : opts_(with_env(std::move(opts))),
       cache_(opts_.cache_dir.empty() ? ResultCache::default_dir()
                                      : opts_.cache_dir),
       jobs_(resolve_jobs(opts_.jobs)),
       pool_(std::make_unique<ThreadPool>(jobs_)),
       progress_enabled_(resolve_progress(opts_.progress)),
-      start_(std::chrono::steady_clock::now()) {
-  if (const char* env = std::getenv("ASFSIM_JOB_TIMEOUT");
-      env != nullptr && *env != '\0') {
-    opts_.job_wall_limit_s = std::atof(env);
-  }
-  if (const char* env = std::getenv("ASFSIM_FAULT_COUNTERS");
-      env != nullptr && *env != '\0') {
-    opts_.manifest_fault_counters = env[0] == '1';
-  }
-}
+      start_(std::chrono::steady_clock::now()) {}
 
 Runner::~Runner() {
   pool_.reset();  // drain: every submitted job finishes before the manifest

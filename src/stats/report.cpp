@@ -50,15 +50,6 @@ std::string TextTable::num(double v, int decimals) {
   return buf;
 }
 
-void print_fault_counters(std::ostream& os, const FaultCounters& fc) {
-  os << "  injected faults: spurious aborts " << fc.spurious_aborts
-     << ", commit aborts " << fc.commit_aborts << ", forced evictions "
-     << fc.forced_evictions << "\n  timing perturbation: probe jitter "
-     << fc.probe_jitter_events << " events / " << fc.probe_jitter_cycles
-     << " cycles, sched jitter " << fc.sched_jitter_events << " events / "
-     << fc.sched_jitter_cycles << " cycles\n";
-}
-
 CsvWriter::CsvWriter(const std::string& dir, const std::string& name) {
   if (dir.empty()) return;
   path_ = dir + "/" + name + ".csv";

@@ -6,14 +6,7 @@
 #include <string>
 #include <vector>
 
-#include "fault/plan.hpp"
-
 namespace asfsim {
-
-/// Opt-in text-report section for injected-fault accounting. Only executed
-/// fault-injected runs carry counters (cache hits come back with
-/// has_fault_counters == false), so callers print this per-row on demand.
-void print_fault_counters(std::ostream& os, const FaultCounters& fc);
 
 /// Fixed-width text table: set headers, add string rows, print.
 class TextTable {

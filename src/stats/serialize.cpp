@@ -1,10 +1,13 @@
 #include "stats/serialize.hpp"
 
 #include <algorithm>
-#include <cinttypes>
-#include <cstdio>
+#include <array>
+#include <charconv>
+#include <iterator>
 #include <utility>
 #include <vector>
+
+#include "sim/aggregate.hpp"
 
 namespace asfsim {
 
@@ -22,11 +25,48 @@ namespace {
 // v5: appended the opt-in contention-management section (--cm-stats). Like
 // v4, the v5 header is only written when its section is present, so cm-off
 // blobs remain byte-identical to v4 (or v3 when provenance is off too). A
-// v5 blob always carries an explicit prov_present flag so the two opt-in
+// v5 blob always carries an explicit prov_enabled flag so the two opt-in
 // sections compose in every combination.
-constexpr const char* kHeaderV3 = "asfsim-stats v3";
-constexpr const char* kHeaderV4 = "asfsim-stats v4";
-constexpr const char* kHeaderV5 = "asfsim-stats v5";
+constexpr std::string_view kHeaders[] = {
+    "asfsim-stats v3", "asfsim-stats v4", "asfsim-stats v5"};
+
+constexpr auto kKeys = std::apply(
+    [](const auto&... row) { return std::array{row.key...}; }, kStatsFields);
+
+constexpr std::size_t row_of(std::string_view key) {
+  std::size_t i = 0;
+  while (i < kKeys.size() && kKeys[i] != key) ++i;
+  return i;
+}
+
+constexpr bool keys_distinct() {
+  for (std::size_t i = 0; i < kKeys.size(); ++i) {
+    if (row_of(kKeys[i]) != i) return false;
+  }
+  return true;
+}
+
+static_assert(kKeys.size() == aggregate_arity<Stats>(),
+              "every Stats field needs exactly one row in kStatsFields "
+              "(stats/serialize.hpp)");
+static_assert(keys_distinct(), "two kStatsFields rows name one field");
+
+// The section gates: the rows after each gate, up to the next one, belong
+// to its section.
+constexpr std::size_t kProvGate = row_of("prov_enabled");
+constexpr std::size_t kCmGate = row_of("cm_enabled");
+static_assert(kProvGate < kCmGate && kCmGate < kKeys.size());
+
+/// Whether a blob with header `version` carries row i: the core rows
+/// always; the provenance flag from v4 on (a v4 blob always has the section,
+/// a v5 blob says whether it does); the provenance rows when that flag is
+/// set; the cm flag and rows only in v5 (whose header means "cm section").
+constexpr bool present(std::size_t i, int version, const Stats& s) {
+  if (i < kProvGate) return true;
+  if (i == kProvGate) return version >= 4;
+  if (i < kCmGate) return s.prov_enabled;
+  return version == 5;
+}
 
 // Charset of serialized site-name tokens; matches the sanitizer in
 // prov/site_registry.cpp so round-trips are exact.
@@ -36,28 +76,49 @@ bool name_char_ok(char c) {
          c == '(' || c == ')' || c == '-';
 }
 
-void put(std::string& out, const char* key, std::uint64_t v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%s %" PRIu64 "\n", key, v);
-  out += buf;
+// ---- writer: one put() per field type, each emitting " value..." -------
+
+void put(std::string& out, std::uint64_t v) {
+  char buf[24] = {' '};
+  out.append(buf, std::to_chars(buf + 1, std::end(buf), v).ptr);
 }
 
-template <typename Range>
-void put_seq(std::string& out, const char* key, const Range& values) {
-  out += key;
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), " %zu",
-                static_cast<std::size_t>(std::size(values)));
-  out += buf;
-  for (const std::uint64_t v : values) {
-    std::snprintf(buf, sizeof(buf), " %" PRIu64, v);
-    out += buf;
+void put(std::string& out, bool b) { put(out, std::uint64_t{b}); }
+
+template <std::size_t N>
+void put(std::string& out, const std::array<std::uint64_t, N>& values) {
+  put(out, std::uint64_t{N});
+  for (const std::uint64_t v : values) put(out, v);
+}
+
+void put(std::string& out, const std::vector<std::uint64_t>& values) {
+  put(out, std::uint64_t{values.size()});
+  for (const std::uint64_t v : values) put(out, v);
+}
+
+void put(std::string& out, const std::vector<std::string>& names) {
+  put(out, std::uint64_t{names.size()});
+  for (const std::string& name : names) {
+    out += ' ';
+    out += name;
   }
-  out += '\n';
+}
+
+void put(std::string& out,
+         const std::unordered_map<Addr, std::uint64_t>& by_line) {
+  std::vector<std::pair<Addr, std::uint64_t>> sorted(by_line.begin(),
+                                                     by_line.end());
+  std::sort(sorted.begin(), sorted.end());
+  put(out, std::uint64_t{2 * sorted.size()});
+  for (const auto& [addr, count] : sorted) {
+    put(out, addr);
+    put(out, count);
+  }
 }
 
 /// Cursor over the blob; every read checks syntax so corruption surfaces
-/// as a false return from deserialize_stats, never as garbage stats.
+/// as a false return from deserialize_stats, never as garbage stats. One
+/// get() per field type, each the inverse of its put().
 class Reader {
  public:
   explicit Reader(std::string_view blob) : rest_(blob) {}
@@ -68,7 +129,18 @@ class Reader {
     return true;
   }
 
-  bool u64(std::uint64_t& v) {
+  /// One row's `key value...` line, or nothing when the blob does not
+  /// carry the row.
+  template <class T>
+  bool row(const StatsField<T>& f, Stats& out, bool is_present) {
+    return !is_present ||
+           (literal(f.key) && get(out.*f.member) && literal("\n"));
+  }
+
+  [[nodiscard]] bool done() const { return rest_.empty(); }
+
+ private:
+  bool get(std::uint64_t& v) {
     if (!literal(" ")) return false;
     if (rest_.empty() || rest_[0] < '0' || rest_[0] > '9') return false;
     if (rest_[0] == '0' && rest_.size() > 1 && rest_[1] >= '0' &&
@@ -85,247 +157,125 @@ class Reader {
     return true;
   }
 
-  bool field(std::string_view key, std::uint64_t& v) {
-    return literal(key) && u64(v) && literal("\n");
+  bool get(bool& b) {
+    std::uint64_t v = 0;
+    if (!get(v) || v > 1) return false;
+    b = v == 1;
+    return true;
   }
 
-  template <typename Range>
-  bool fixed_seq(std::string_view key, Range& values) {
+  template <std::size_t N>
+  bool get(std::array<std::uint64_t, N>& values) {
     std::uint64_t n = 0;
-    if (!literal(key) || !u64(n)) return false;
-    if (n != static_cast<std::uint64_t>(std::size(values))) return false;
-    for (auto& v : values) {
-      if (!u64(v)) return false;
+    if (!get(n) || n != N) return false;
+    for (std::uint64_t& v : values) {
+      if (!get(v)) return false;
     }
-    return literal("\n");
+    return true;
   }
 
-  bool var_seq(std::string_view key, std::vector<Cycle>& values) {
+  /// A sequence count. Each element needs >= 2 bytes of input (" 0"), so
+  /// a count larger than that is corruption — rejected before anything is
+  /// reserved, or a flipped count byte would turn into a giant allocation.
+  bool count(std::uint64_t& n) { return get(n) && n <= rest_.size() / 2; }
+
+  bool get(std::vector<std::uint64_t>& values) {
     std::uint64_t n = 0;
-    if (!literal(key) || !u64(n)) return false;
-    // Each value needs >= 2 bytes of input (" 0"), so a count larger than
-    // the remaining blob is corruption — reject it before reserving, or a
-    // flipped count byte would turn into a giant allocation.
-    if (n > rest_.size() / 2) return false;
-    values.clear();
+    if (!count(n)) return false;
     values.reserve(n);
     for (std::uint64_t i = 0; i < n; ++i) {
       std::uint64_t v = 0;
-      if (!u64(v)) return false;
+      if (!get(v)) return false;
       values.push_back(v);
     }
-    return literal("\n");
+    return true;
   }
 
   /// Whitespace-delimited name tokens (site names; restricted charset).
-  bool name_seq(std::string_view key, std::vector<std::string>& values) {
+  bool get(std::vector<std::string>& names) {
     std::uint64_t n = 0;
-    if (!literal(key) || !u64(n)) return false;
-    if (n > rest_.size() / 2) return false;  // same bound as var_seq
-    values.clear();
-    values.reserve(n);
+    if (!count(n)) return false;
+    names.reserve(n);
     for (std::uint64_t i = 0; i < n; ++i) {
       if (!literal(" ")) return false;
       std::size_t len = 0;
       while (len < rest_.size() && name_char_ok(rest_[len])) ++len;
       if (len == 0) return false;
-      values.emplace_back(rest_.substr(0, len));
+      names.emplace_back(rest_.substr(0, len));
       rest_.remove_prefix(len);
     }
-    return literal("\n");
+    return true;
   }
 
-  [[nodiscard]] bool done() const { return rest_.empty(); }
+  bool get(std::unordered_map<Addr, std::uint64_t>& by_line) {
+    std::uint64_t n = 0;
+    if (!count(n) || n % 2 != 0) return false;
+    Addr prev = 0;
+    for (std::uint64_t i = 0; i < n; i += 2) {
+      Addr addr = 0;
+      std::uint64_t v = 0;
+      if (!get(addr) || !get(v)) return false;
+      // Canonical blobs are sorted by address with no duplicates; anything
+      // else is corruption (a duplicate would silently merge two entries).
+      if (i > 0 && addr <= prev) return false;
+      by_line.emplace(addr, v);
+      prev = addr;
+    }
+    return true;
+  }
 
- private:
   std::string_view rest_;
 };
+
+constexpr auto kRowIndices =
+    std::make_index_sequence<std::tuple_size_v<decltype(kStatsFields)>>{};
 
 }  // namespace
 
 std::string serialize_stats(const Stats& s) {
+  const int version = s.cm_enabled ? 5 : (s.prov_enabled ? 4 : 3);
   std::string out;
   out.reserve(2048);
-  out += s.cm_enabled ? kHeaderV5
-                      : (s.prov_enabled ? kHeaderV4 : kHeaderV3);
+  out += kHeaders[version - 3];
   out += '\n';
-  put(out, "tx_attempts", s.tx_attempts);
-  put(out, "tx_commits", s.tx_commits);
-  put(out, "tx_aborts", s.tx_aborts);
-  put(out, "fallback_runs", s.fallback_runs);
-  put(out, "ats_serialized", s.ats_serialized);
-  put_seq(out, "aborts_by_cause", s.aborts_by_cause);
-  put(out, "conflicts_total", s.conflicts_total);
-  put(out, "conflicts_false", s.conflicts_false);
-  put_seq(out, "false_by_type", s.false_by_type);
-  put_seq(out, "true_by_type", s.true_by_type);
-  put(out, "false_conflicts_avoided", s.false_conflicts_avoided);
-  put(out, "accesses", s.accesses);
-  put(out, "tx_accesses", s.tx_accesses);
-  put(out, "l1_hits", s.l1_hits);
-  put(out, "l2_hits", s.l2_hits);
-  put(out, "l3_hits", s.l3_hits);
-  put(out, "mem_fetches", s.mem_fetches);
-  put(out, "c2c_transfers", s.c2c_transfers);
-  put(out, "probes_sent", s.probes_sent);
-  put(out, "piggyback_messages", s.piggyback_messages);
-  put(out, "dirty_refetches", s.dirty_refetches);
-  put(out, "upgrades", s.upgrades);
-  put(out, "bus_wait_cycles", s.bus_wait_cycles);
-  put_seq(out, "false_surviving_at", s.false_surviving_at);
-
-  std::vector<std::pair<Addr, std::uint64_t>> by_line(s.false_by_line.begin(),
-                                                      s.false_by_line.end());
-  std::sort(by_line.begin(), by_line.end());
-  std::vector<std::uint64_t> flat;
-  flat.reserve(by_line.size() * 2);
-  for (const auto& [addr, count] : by_line) {
-    flat.push_back(addr);
-    flat.push_back(count);
-  }
-  put_seq(out, "false_by_line", flat);
-
-  put_seq(out, "tx_access_by_offset", s.tx_access_by_offset);
-  put(out, "record_timeseries", s.record_timeseries ? 1 : 0);
-  put_seq(out, "tx_start_cycles", s.tx_start_cycles);
-  put_seq(out, "false_conflict_cycles", s.false_conflict_cycles);
-  put(out, "total_cycles", s.total_cycles);
-  put(out, "tx_busy_cycles", s.tx_busy_cycles);
-  put_seq(out, "tx_duration_hist", s.tx_duration_hist);
-  put_seq(out, "tx_read_lines_hist", s.tx_read_lines_hist);
-  put_seq(out, "tx_write_lines_hist", s.tx_write_lines_hist);
-  put(out, "wasted_cycles", s.wasted_cycles);
-  put(out, "backoff_cycles", s.backoff_cycles);
-  put_seq(out, "tx_latency_hist", s.tx_latency_hist);
-  if (s.prov_enabled || s.cm_enabled) {
-    // v4 wrote "prov_enabled 1" only when provenance was on; v5 writes the
-    // flag unconditionally so the cm section's position is unambiguous.
-    put(out, "prov_enabled", s.prov_enabled ? 1 : 0);
-  }
-  if (s.prov_enabled) {
-    out += "prov_site_names";
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), " %zu", s.prov_site_names.size());
-    out += buf;
-    for (const std::string& name : s.prov_site_names) {
-      out += ' ';
-      out += name;
-    }
-    out += '\n';
-    put_seq(out, "prov_site_table", s.prov_site_table);
-    put_seq(out, "prov_hot_lines", s.prov_hot_lines);
-    put_seq(out, "prov_pairs", s.prov_pairs);
-  }
-  if (s.cm_enabled) {
-    put(out, "cm_enabled", 1);
-    put_seq(out, "cm_max_consec_aborts", s.cm_max_consec_aborts);
-    put_seq(out, "cm_wasted_by_core", s.cm_wasted_by_core);
-    put_seq(out, "cm_first_commit_cycle", s.cm_first_commit_cycle);
-    put(out, "cm_policy_decisions", s.cm_policy_decisions);
-    put(out, "cm_requester_losses", s.cm_requester_losses);
-    put(out, "cm_fallback_acquisitions", s.cm_fallback_acquisitions);
-  }
+  [&]<std::size_t... I>(std::index_sequence<I...>) {
+    const auto row = [&](const auto& f, bool is_present) {
+      if (!is_present) return;
+      out += f.key;
+      put(out, s.*f.member);
+      out += '\n';
+    };
+    (row(std::get<I>(kStatsFields), present(I, version, s)), ...);
+  }(kRowIndices);
   return out;
 }
 
 bool deserialize_stats(std::string_view blob, Stats& out) {
   out = Stats{};
   Reader r(blob);
-  std::uint64_t flag = 0;
-  std::vector<Cycle> by_line_flat;
-  bool v4 = false;
-  bool v5 = false;
-  bool header_ok = false;
-  if (r.literal(kHeaderV3)) {
-    header_ok = true;
-  } else if (r.literal(kHeaderV4)) {
-    header_ok = true;
-    v4 = true;
-  } else if (r.literal(kHeaderV5)) {
-    header_ok = true;
-    v5 = true;
+  int version = 0;
+  for (int v = 3; v <= 5 && version == 0; ++v) {
+    if (r.literal(kHeaders[v - 3])) version = v;
   }
-  bool ok =
-      header_ok && r.literal("\n") &&
-      r.field("tx_attempts", out.tx_attempts) &&
-      r.field("tx_commits", out.tx_commits) &&
-      r.field("tx_aborts", out.tx_aborts) &&
-      r.field("fallback_runs", out.fallback_runs) &&
-      r.field("ats_serialized", out.ats_serialized) &&
-      r.fixed_seq("aborts_by_cause", out.aborts_by_cause) &&
-      r.field("conflicts_total", out.conflicts_total) &&
-      r.field("conflicts_false", out.conflicts_false) &&
-      r.fixed_seq("false_by_type", out.false_by_type) &&
-      r.fixed_seq("true_by_type", out.true_by_type) &&
-      r.field("false_conflicts_avoided", out.false_conflicts_avoided) &&
-      r.field("accesses", out.accesses) &&
-      r.field("tx_accesses", out.tx_accesses) &&
-      r.field("l1_hits", out.l1_hits) && r.field("l2_hits", out.l2_hits) &&
-      r.field("l3_hits", out.l3_hits) &&
-      r.field("mem_fetches", out.mem_fetches) &&
-      r.field("c2c_transfers", out.c2c_transfers) &&
-      r.field("probes_sent", out.probes_sent) &&
-      r.field("piggyback_messages", out.piggyback_messages) &&
-      r.field("dirty_refetches", out.dirty_refetches) &&
-      r.field("upgrades", out.upgrades) &&
-      r.field("bus_wait_cycles", out.bus_wait_cycles) &&
-      r.fixed_seq("false_surviving_at", out.false_surviving_at) &&
-      r.var_seq("false_by_line", by_line_flat) &&
-      r.fixed_seq("tx_access_by_offset", out.tx_access_by_offset) &&
-      r.field("record_timeseries", flag) &&
-      r.var_seq("tx_start_cycles", out.tx_start_cycles) &&
-      r.var_seq("false_conflict_cycles", out.false_conflict_cycles) &&
-      r.field("total_cycles", out.total_cycles) &&
-      r.field("tx_busy_cycles", out.tx_busy_cycles) &&
-      r.fixed_seq("tx_duration_hist", out.tx_duration_hist) &&
-      r.fixed_seq("tx_read_lines_hist", out.tx_read_lines_hist) &&
-      r.fixed_seq("tx_write_lines_hist", out.tx_write_lines_hist) &&
-      r.field("wasted_cycles", out.wasted_cycles) &&
-      r.field("backoff_cycles", out.backoff_cycles) &&
-      r.fixed_seq("tx_latency_hist", out.tx_latency_hist);
-  if (ok && (v4 || v5)) {
-    // Opt-in provenance section. A v4 blob must carry it (the v4 header is
-    // only written when the section is); a v5 blob carries an explicit 0/1
-    // flag because either opt-in section can be present on its own.
-    std::uint64_t pflag = 0;
-    ok = r.field("prov_enabled", pflag) && pflag <= 1 && (v5 || pflag == 1);
-    if (ok && pflag == 1) {
-      ok = r.name_seq("prov_site_names", out.prov_site_names) &&
-           r.var_seq("prov_site_table", out.prov_site_table) &&
-           r.var_seq("prov_hot_lines", out.prov_hot_lines) &&
-           r.var_seq("prov_pairs", out.prov_pairs) &&
-           // Stride/shape checks (prov/collector.hpp layout constants).
-           out.prov_site_table.size() == out.prov_site_names.size() * 11 &&
-           out.prov_hot_lines.size() % 4 == 0 &&
-           out.prov_pairs.size() % 4 == 0;
-      out.prov_enabled = ok;
-    }
-  }
-  if (ok && v5) {
-    // Contention-management section: a v5 blob must carry it.
-    std::uint64_t cflag = 0;
-    ok = r.field("cm_enabled", cflag) && cflag == 1 &&
-         r.var_seq("cm_max_consec_aborts", out.cm_max_consec_aborts) &&
-         r.var_seq("cm_wasted_by_core", out.cm_wasted_by_core) &&
-         r.var_seq("cm_first_commit_cycle", out.cm_first_commit_cycle) &&
-         r.field("cm_policy_decisions", out.cm_policy_decisions) &&
-         r.field("cm_requester_losses", out.cm_requester_losses) &&
-         r.field("cm_fallback_acquisitions", out.cm_fallback_acquisitions) &&
-         // The three per-core vectors must agree on the core count.
+  const bool rows_ok =
+      version != 0 && r.literal("\n") &&
+      [&]<std::size_t... I>(std::index_sequence<I...>) {
+        // Left to right, so each gate row is read before present() asks.
+        return (r.row(std::get<I>(kStatsFields), out,
+                      present(I, version, out)) &&
+                ...);
+      }(kRowIndices);
+  return rows_ok && r.done() &&
+         // A v4 header is only written with the provenance section, a v5
+         // header only with the cm section.
+         (version != 4 || out.prov_enabled) &&
+         (version != 5 || out.cm_enabled) &&
+         // Stride/shape checks (prov/collector.hpp layout constants).
+         out.prov_site_table.size() == out.prov_site_names.size() * 11 &&
+         out.prov_hot_lines.size() % 4 == 0 && out.prov_pairs.size() % 4 == 0 &&
+         // The three per-core cm vectors must agree on the core count.
          out.cm_wasted_by_core.size() == out.cm_max_consec_aborts.size() &&
          out.cm_first_commit_cycle.size() == out.cm_max_consec_aborts.size();
-    out.cm_enabled = ok;
-  }
-  ok = ok && r.done();
-  if (!ok || flag > 1 || by_line_flat.size() % 2 != 0) return false;
-  out.record_timeseries = flag == 1;
-  for (std::size_t i = 0; i < by_line_flat.size(); i += 2) {
-    // Canonical blobs are sorted by address with no duplicates; anything
-    // else is corruption (a duplicate would silently merge two entries).
-    if (i > 0 && by_line_flat[i] <= by_line_flat[i - 2]) return false;
-    out.false_by_line[by_line_flat[i]] = by_line_flat[i + 1];
-  }
-  return true;
 }
 
 }  // namespace asfsim

@@ -331,8 +331,8 @@ runner::RunnerOptions uncached_opts(unsigned jobs) {
   return o;
 }
 
-/// serialize_stats covers every Stats field (lint stats-blob-completeness),
-/// so string equality is full-report equality.
+/// serialize_stats covers every Stats field (one kStatsFields row each, by
+/// static_assert), so string equality is full-report equality.
 std::vector<std::string> run_policy_matrix(unsigned jobs) {
   runner::Runner r(uncached_opts(jobs));
   std::vector<std::shared_future<ExperimentResult>> futs;

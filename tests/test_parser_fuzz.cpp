@@ -18,43 +18,55 @@
 namespace asfsim {
 namespace {
 
-/// A real stats blob with non-trivial content in every section.
-std::string sample_blob() {
+/// Real stats blobs with non-trivial content in every section: a v3 blob
+/// (timeseries on, both opt-in sections off) and a v5 blob from a
+/// --prov --cm-stats run, so the site-name parser and the cm section see
+/// the same corruption as the core rows.
+std::vector<std::string> sample_blobs() {
   ExperimentConfig cfg;
   cfg.detector = DetectorKind::kSubBlock;
   cfg.params.threads = 4;
   cfg.params.scale = 0.25;
   cfg.sim.ncores = 4;
   cfg.timeseries = true;  // populate the variable-length vectors too
-  const ExperimentResult r = run_experiment("counter", cfg);
-  return serialize_stats(r.stats);
+  std::vector<std::string> out;
+  out.push_back(serialize_stats(run_experiment("counter", cfg).stats));
+  cfg.sim.provenance = true;
+  cfg.sim.cm.stats = true;
+  out.push_back(serialize_stats(run_experiment("counter", cfg).stats));
+  EXPECT_EQ(out[0].rfind("asfsim-stats v3\n", 0), 0u);
+  EXPECT_EQ(out[1].rfind("asfsim-stats v5\n", 0), 0u);
+  EXPECT_EQ(out[1].find("\nprov_site_names 0\n"), std::string::npos);
+  return out;
 }
 
 TEST(StatsFuzz, AcceptsOnlyTheExactBlobNoPrefix) {
-  const std::string blob = sample_blob();
-  Stats out;
-  ASSERT_TRUE(deserialize_stats(blob, out));
-  for (std::size_t len = 0; len < blob.size(); len += 3) {
-    EXPECT_FALSE(deserialize_stats(blob.substr(0, len), out))
-        << "accepted a " << len << "-byte prefix of a " << blob.size()
-        << "-byte blob";
+  for (const std::string& blob : sample_blobs()) {
+    Stats out;
+    ASSERT_TRUE(deserialize_stats(blob, out));
+    for (std::size_t len = 0; len < blob.size(); len += 3) {
+      EXPECT_FALSE(deserialize_stats(blob.substr(0, len), out))
+          << "accepted a " << len << "-byte prefix of a " << blob.size()
+          << "-byte blob";
+    }
   }
 }
 
 TEST(StatsFuzz, EveryByteCorruptionIsRejectedOrCanonicallyStable) {
-  const std::string blob = sample_blob();
-  Stats out;
-  for (std::size_t pos = 0; pos < blob.size(); ++pos) {
-    for (const unsigned char flip : {0x01, 0x10, 0x80}) {
-      std::string mutated = blob;
-      mutated[pos] = static_cast<char>(mutated[pos] ^ flip);
-      if (mutated == blob) continue;
-      if (deserialize_stats(mutated, out)) {
-        // A digit-for-digit flip yields a different but well-formed blob;
-        // accepting it is fine iff the parse is canonically faithful.
-        EXPECT_EQ(serialize_stats(out), mutated)
-            << "pos " << pos << " flip " << int{flip}
-            << ": accepted a non-canonical blob";
+  for (const std::string& blob : sample_blobs()) {
+    Stats out;
+    for (std::size_t pos = 0; pos < blob.size(); ++pos) {
+      for (const unsigned char flip : {0x01, 0x10, 0x80}) {
+        std::string mutated = blob;
+        mutated[pos] = static_cast<char>(mutated[pos] ^ flip);
+        if (mutated == blob) continue;
+        if (deserialize_stats(mutated, out)) {
+          // A digit-for-digit flip yields a different but well-formed blob;
+          // accepting it is fine iff the parse is canonically faithful.
+          EXPECT_EQ(serialize_stats(out), mutated)
+              << "pos " << pos << " flip " << int{flip}
+              << ": accepted a non-canonical blob";
+        }
       }
     }
   }
@@ -62,24 +74,32 @@ TEST(StatsFuzz, EveryByteCorruptionIsRejectedOrCanonicallyStable) {
 
 TEST(StatsFuzz, HugeCountFieldsNeverAllocate) {
   // A corrupted count must be rejected up front — not fed to reserve().
-  // Build a blob whose first variable-length section claims 10^18 entries.
-  const std::string blob = sample_blob();
-  const std::size_t pos = blob.find("false_by_line ");
-  ASSERT_NE(pos, std::string::npos);
-  const std::size_t val = pos + std::string("false_by_line ").size();
-  const std::size_t end = blob.find(' ', val);
-  std::string mutated =
-      blob.substr(0, val) + "999999999999999999" +
-      blob.substr(end == std::string::npos ? blob.find('\n', val) : end);
+  // Make each variable-length row the blob carries claim 10^18 entries.
   Stats out;
-  EXPECT_FALSE(deserialize_stats(mutated, out));
+  for (const std::string& blob : sample_blobs()) {
+    for (const std::string key :
+         {"false_by_line ", "tx_start_cycles ", "prov_site_names ",
+          "prov_site_table ", "cm_max_consec_aborts "}) {
+      const std::size_t pos = blob.find("\n" + key);
+      if (pos == std::string::npos) {  // an opt-in row of the v3 blob
+        EXPECT_EQ(blob.rfind("asfsim-stats v3\n", 0), 0u) << key;
+        continue;
+      }
+      const std::size_t val = pos + 1 + key.size();
+      const std::size_t end = blob.find_first_of(" \n", val);
+      const std::string mutated =
+          blob.substr(0, val) + "999999999999999999" + blob.substr(end);
+      EXPECT_FALSE(deserialize_stats(mutated, out)) << key;
+    }
 
-  // And numbers too wide for uint64 must not wrap silently.
-  std::string wide = blob;
-  const std::size_t c = wide.find("tx_commits ");
-  ASSERT_NE(c, std::string::npos);
-  wide.insert(c + std::string("tx_commits ").size(), "184467440737095516160");
-  EXPECT_FALSE(deserialize_stats(wide, out));
+    // And numbers too wide for uint64 must not wrap silently.
+    std::string wide = blob;
+    const std::size_t c = wide.find("tx_commits ");
+    ASSERT_NE(c, std::string::npos);
+    wide.insert(c + std::string("tx_commits ").size(),
+                "184467440737095516160");
+    EXPECT_FALSE(deserialize_stats(wide, out));
+  }
 }
 
 TEST(StatsFuzz, GarbageInputsAreRejected) {

@@ -1,8 +1,10 @@
 // Runner subsystem: JobSpec canonicalization/hashing, Stats serialization
-// round trips, and — the stale-result guard — result-cache hit/miss
-// behaviour when a SimConfig field changes.
+// (every blob row round-trips; the bytes match the pre-table goldens), and
+// — the stale-result guard — result-cache hit/miss behaviour when a
+// SimConfig field changes.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -16,6 +18,7 @@
 #include "runner/runner.hpp"
 #include "runner/version.hpp"
 #include "stats/serialize.hpp"
+#include "stats_rows.hpp"
 
 namespace asfsim {
 namespace {
@@ -203,21 +206,123 @@ TEST(JobSpec, MirrorsRunExperimentSeedOverride) {
 
 // ---- Stats serialization ---------------------------------------------------
 
-TEST(StatsSerialize, RoundTripsEveryField) {
-  ExperimentConfig cfg = small_config();
-  cfg.timeseries = true;  // exercise the vector fields too
-  const ExperimentResult r = run_experiment("counter", cfg);
-  ASSERT_TRUE(r.ok()) << r.validation_error;
-  ASSERT_GT(r.stats.tx_commits, 0u);
+std::vector<std::string> lines_of(const std::string& blob) {
+  std::vector<std::string> out;
+  std::size_t at = 0;
+  for (std::size_t nl; (nl = blob.find('\n', at)) != std::string::npos;
+       at = nl + 1) {
+    out.push_back(blob.substr(at, nl - at));
+  }
+  return out;
+}
 
-  const std::string blob = serialize_stats(r.stats);
+/// Bumping a row changes exactly that row's line and round-trips, every
+/// other row included. A section gate turns its section off instead: its
+/// blob only loses lines (and the gate's line and the header may change).
+template <class T>
+void expect_row_round_trips(const StatsField<T>& f, const Stats& base) {
+  SCOPED_TRACE(std::string(f.key));
+  Stats bumped = base;
+  stats_rows::bump(bumped.*f.member);
+  const std::string blob = serialize_stats(bumped);
   Stats back;
   ASSERT_TRUE(deserialize_stats(blob, back));
   EXPECT_EQ(serialize_stats(back), blob);
-  EXPECT_EQ(back.tx_commits, r.stats.tx_commits);
-  EXPECT_EQ(back.conflicts_total, r.stats.conflicts_total);
-  EXPECT_EQ(back.false_by_line, r.stats.false_by_line);
-  EXPECT_EQ(back.tx_start_cycles, r.stats.tx_start_cycles);
+  EXPECT_TRUE(back.*f.member == bumped.*f.member);
+
+  const std::vector<std::string> before = lines_of(serialize_stats(base));
+  const std::vector<std::string> after = lines_of(blob);
+  const std::string prefix = std::string(f.key) + " ";
+  if (f.key == "prov_enabled" || f.key == "cm_enabled") {
+    EXPECT_LT(after.size(), before.size());
+    for (std::size_t i = 1; i < after.size(); ++i) {
+      if (after[i].rfind(prefix, 0) == 0) continue;
+      EXPECT_NE(std::find(before.begin(), before.end(), after[i]),
+                before.end())
+          << after[i];
+    }
+    return;
+  }
+  ASSERT_EQ(after.size(), before.size());
+  std::vector<std::string> changed;
+  for (std::size_t i = 0; i < after.size(); ++i) {
+    if (after[i] != before[i]) changed.push_back(after[i]);
+  }
+  ASSERT_EQ(changed.size(), 1u);
+  EXPECT_EQ(changed[0].rfind(prefix, 0), 0u) << changed[0];
+  const auto same = [&](const auto& g) {
+    EXPECT_TRUE(back.*g.member == bumped.*g.member) << g.key;
+  };
+  std::apply([&](const auto&... g) { (same(g), ...); }, kStatsFields);
+}
+
+TEST(StatsSerialize, RoundTripsEveryField) {
+  const Stats base = stats_rows::sample();
+  ASSERT_TRUE(base.prov_enabled && base.cm_enabled);
+  std::apply([&](const auto&... f) { (expect_row_round_trips(f, base), ...); },
+             kStatsFields);
+}
+
+TEST(StatsSerialize, BlobMatchesParentGoldens) {
+  // FNV-1a of the blobs the hand-written serialize_stats (before the row
+  // table) produced for these inputs; stats_rows::blob_hashes names them.
+  const std::map<std::string, std::string> golden = {
+      {"bump aborts_by_cause", "5369244b9eeff438"},
+      {"bump accesses", "b6dec4708fa51ee7"},
+      {"bump ats_serialized", "4f06b8954d8bc09a"},
+      {"bump backoff_cycles", "96acec72b5c226a2"},
+      {"bump bus_wait_cycles", "efddce8a14c26896"},
+      {"bump c2c_transfers", "92c4ca547366f72e"},
+      {"bump cm_enabled", "3655b6cdcdd59b83"},
+      {"bump cm_fallback_acquisitions", "2c4ca1c72ebd1b2e"},
+      {"bump cm_first_commit_cycle", "41bd378c91876348"},
+      {"bump cm_max_consec_aborts", "fe863d24f7baf86c"},
+      {"bump cm_policy_decisions", "b190f005a84d19a8"},
+      {"bump cm_requester_losses", "66cbfb26e7582172"},
+      {"bump cm_wasted_by_core", "64068b4f6ef07f70"},
+      {"bump conflicts_false", "bb8af277dbd78bd6"},
+      {"bump conflicts_total", "250b2fd38bbbd2ce"},
+      {"bump dirty_refetches", "6127535a01a0d4ec"},
+      {"bump fallback_runs", "154334ff8ebd928a"},
+      {"bump false_by_line", "d840bd7d7e5658c2"},
+      {"bump false_by_type", "4c6e0a34270a3042"},
+      {"bump false_conflict_cycles", "2235f0dac2586e48"},
+      {"bump false_conflicts_avoided", "4b7c309a70f53a28"},
+      {"bump false_surviving_at", "f85bd4d6f4143328"},
+      {"bump l1_hits", "56cafc659cfa9de6"},
+      {"bump l2_hits", "10d26f33faf24bb6"},
+      {"bump l3_hits", "62431f7fa6559f42"},
+      {"bump mem_fetches", "cc9c5646ae43e412"},
+      {"bump piggyback_messages", "4f0518f843f355e4"},
+      {"bump probes_sent", "8a68bacb1ff6d0a2"},
+      {"bump prov_enabled", "f8587057c3e37153"},
+      {"bump prov_hot_lines", "ddf82e0bc9074c92"},
+      {"bump prov_pairs", "8344d95c1ec18508"},
+      {"bump prov_site_names", "29ff5c61926f60b5"},
+      {"bump prov_site_table", "199aef91efbba610"},
+      {"bump record_timeseries", "9a52c80cf11ec790"},
+      {"bump total_cycles", "6a540c0fefabcdbe"},
+      {"bump true_by_type", "0624d0d079fb92c8"},
+      {"bump tx_aborts", "4c408f59f335dbd8"},
+      {"bump tx_access_by_offset", "8a6f72ec1ac1b5f6"},
+      {"bump tx_accesses", "d6c550ce29abb502"},
+      {"bump tx_attempts", "4596fc053f398cbe"},
+      {"bump tx_busy_cycles", "830c96433a21afb2"},
+      {"bump tx_commits", "50ab2a32e446af76"},
+      {"bump tx_duration_hist", "e46a682949eebdd0"},
+      {"bump tx_latency_hist", "9ab4a4d99249400a"},
+      {"bump tx_read_lines_hist", "51f0e644b56af488"},
+      {"bump tx_start_cycles", "b9ecb3b4d0222154"},
+      {"bump tx_write_lines_hist", "49c8d7bac171bb3a"},
+      {"bump upgrades", "9653b52795b9e3e9"},
+      {"bump wasted_cycles", "b81af4362b423c62"},
+      {"default", "827ad14f963ede91"},
+      {"v3", "2baca35fbce6bf5f"},
+      {"v4 prov", "3655b6cdcdd59b83"},
+      {"v5 cm", "f8587057c3e37153"},
+      {"v5 prov cm", "2c5003c72ebff78b"},
+  };
+  EXPECT_EQ(stats_rows::blob_hashes(), golden);
 }
 
 TEST(StatsSerialize, RejectsCorruptBlobs) {

@@ -2,6 +2,7 @@
 // result-cache quarantine path (docs/robustness.md).
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <string>
@@ -185,6 +186,41 @@ TEST(RunnerFailures, RunnerWideWallLimitAppliesToJobs) {
   } catch (const JobError& e) {
     EXPECT_NE(std::string(e.what()).find("wall-clock"), std::string::npos)
         << e.what();
+  }
+}
+
+TEST(RunnerFailures, JobTimeoutEnvAppliesToJobs) {
+  TempDir dir("walllimit-env");
+  RunnerOptions opts;
+  opts.jobs = 1;
+  opts.use_cache = false;
+  opts.cache_dir = dir.str();
+  opts.manifest_path = "-";
+  opts.progress = RunnerOptions::Progress::kOff;
+  ::setenv("ASFSIM_JOB_TIMEOUT", "1e-9", 1);
+  Runner r(opts);
+  ::unsetenv("ASFSIM_JOB_TIMEOUT");
+  EXPECT_THROW((void)r.get("counter", ExperimentConfig{}), JobError);
+}
+
+TEST(RunnerFailures, MalformedJobTimeoutEnvExitsTwo) {
+  // A bad value must not silently become 0 (no limit): it is parsed by the
+  // --job-timeout row and rejected with a line naming the variable.
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  RunnerOptions opts;
+  opts.jobs = 1;
+  opts.use_cache = false;
+  opts.manifest_path = "-";
+  opts.progress = RunnerOptions::Progress::kOff;
+  for (const char* bad : {"abc", "-1", "5s", "nan", " 5"}) {
+    EXPECT_EXIT(
+        {
+          ::setenv("ASFSIM_JOB_TIMEOUT", bad, 1);
+          Runner r(opts);
+        },
+        ::testing::ExitedWithCode(2),
+        "^asfsim: bad value '.*' for ASFSIM_JOB_TIMEOUT \\(a number")
+        << bad;
   }
 }
 

@@ -21,8 +21,10 @@
 //                              simulator-affecting code — iteration order
 //                              varies across stdlib implementations and runs
 //
-// The cross-TU model-consistency rule (stats-blob-completeness) lives in
-// model_rules.{hpp,cpp}.
+// Model consistency needs no rule: config fields are rows of the knob table
+// (harness/knobs.hpp) and Stats fields rows of the stats blob table
+// (stats/serialize.hpp), and each table static_asserts its row count
+// against its struct's field count.
 #pragma once
 
 #include <cstdint>
@@ -43,8 +45,6 @@ inline constexpr const char* kRuleRawGuestAccess = "raw-guest-access";
 inline constexpr const char* kRuleNondeterministicSource =
     "nondeterministic-source";
 inline constexpr const char* kRuleUnorderedIteration = "unordered-iteration";
-inline constexpr const char* kRuleStatsBlobCompleteness =
-    "stats-blob-completeness";
 
 /// One textual edit in the original source bytes: replace [begin, end) with
 /// `replacement`. Edits attached to one Diagnostic never overlap each other.

@@ -54,9 +54,6 @@ constexpr RuleMeta kRules[] = {
     {"unordered-iteration",
      "Range-for over an unordered container in simulator-affecting code; "
      "iteration order is unspecified"},
-    {"stats-blob-completeness",
-     "Stats counter missing from the stats blob serializer or parser; the "
-     "round-trip silently drops it"},
 };
 
 int rule_index(const std::string& id) {
