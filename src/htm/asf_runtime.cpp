@@ -194,9 +194,7 @@ void AsfRuntime::commit(CoreId core) {
     // so only the write-back is lost). Killed by the strict-serializability
     // replay and by value-conservation workload oracles.
     if (lose_update_commit_ && line == commit_lines.back()) continue;
-    for (std::uint32_t b = 0; b < kLineBytes; ++b) {
-      if (ov.mask & (ByteMask{1} << b)) backing_.write(line + b, 1, ov.data[b]);
-    }
+    backing_.write_line(line, ov.mask, ov.data);
   }
   p.overlay.clear();
   mem_.clear_spec(core, /*discard_written_lines=*/false);

@@ -1,5 +1,6 @@
 #include "mem/backing_store.hpp"
 
+#include <bit>
 #include <cassert>
 #include <cstring>
 
@@ -42,6 +43,23 @@ void BackingStore::write(Addr a, std::uint32_t size, std::uint64_t v) {
   assert(size >= 1 && size <= 8);
   assert(a % kPageBytes + size <= kPageBytes);
   std::memcpy(page_for(a).data() + a % kPageBytes, &v, size);
+}
+
+void BackingStore::write_line(
+    Addr line, ByteMask mask,
+    const std::array<std::uint8_t, kLineBytes>& data) {
+  assert(line % kLineBytes == 0);
+  if (mask == 0) return;
+  std::uint8_t* dst = page_for(line).data() + line % kPageBytes;
+  // One memcpy per run of consecutive set bytes (guest stores are 1..8-byte
+  // aligned chunks, so masks are a few long runs, often the whole line).
+  while (mask != 0) {
+    const int b = std::countr_zero(mask);
+    const int run = std::countr_one(mask >> b);
+    std::memcpy(dst + b, data.data() + b, static_cast<std::size_t>(run));
+    if (b + run == 64) break;
+    mask &= ~((ByteMask{1} << (b + run)) - 1);
+  }
 }
 
 }  // namespace asfsim

@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <memory>
 
+#include "mem/addr.hpp"
 #include "sim/addr_map.hpp"
 #include "sim/types.hpp"
 
@@ -26,6 +27,13 @@ class BackingStore {
 
   /// Write the low `size` bytes of `v` at `a`.
   void write(Addr a, std::uint32_t size, std::uint64_t v);
+
+  /// Copy the bytes of `data` selected by `mask` (bit b = byte b) into the
+  /// line at `line` (kLineBytes-aligned) with one page lookup — the HTM
+  /// gang-commit's write-back. A zero mask writes nothing and creates no
+  /// page.
+  void write_line(Addr line, ByteMask mask,
+                  const std::array<std::uint8_t, kLineBytes>& data);
 
   [[nodiscard]] std::size_t pages_touched() const { return pages_.size(); }
 

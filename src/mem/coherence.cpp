@@ -63,7 +63,10 @@ SubBlockState MemorySystem::subblock_state(CoreId core, Addr line,
 void MemorySystem::record_spec_access(CoreId core, TagArray::Slot slot,
                                       Addr line, ByteMask mask,
                                       bool is_write) {
-  SpecState& m = spec_meta_[core][line];
+  AddrMap<SpecState>& meta_map = spec_meta_[core];
+  const std::size_t had = meta_map.size();
+  SpecState& m = meta_map[line];
+  if (oracle_ && meta_map.size() != had) dir_add(spec_dir_, core, line);
   SubBlockMask q = quantize(mask, nsub_);
   // MUTATION kWrongSubblockIndexMath: commit the architectural bits under a
   // rotated sub-block index (classic off-by-one in index math) while the
@@ -135,21 +138,17 @@ MemorySystem::ProbeOutcome MemorySystem::probe_remotes(CoreId requester,
   ++stats_.probes_sent;
   const bool oracle = oracle_;
 
-  // Snoop filter: for probe-based detectors, a core without the line in its
-  // L1 tag array can neither conflict (the spec gate below requires a
-  // resident slot) nor react in MOESI terms — visit holders only. The
-  // oracle keeps the full broadcast: its metadata outlives residency.
-  std::uint64_t holders = ~std::uint64_t{0};
-  if (!oracle) {
-    const auto dit = l1_dir_.find(line);
-    holders = dit == l1_dir_.end() ? 0 : dit->second;
-    holders &= ~(std::uint64_t{1} << requester);
-    if (holders == 0) return out;  // no remote copy anywhere
-  }
+  // Snoop filter: a core without the line in its L1 tag array can neither
+  // react in MOESI terms nor (for probe-based detectors) conflict — the spec
+  // gate below requires a resident slot. The oracle's metadata outlives
+  // residency, so it also visits the speculative holders. Holders are
+  // visited in ascending core order, exactly as a full broadcast would.
+  std::uint64_t holders = dir_mask(l1_dir_, line);
+  if (oracle) holders |= dir_mask(spec_dir_, line);
+  holders &= ~(std::uint64_t{1} << requester);
 
-  for (CoreId o = 0; o < cfg_.ncores; ++o) {
-    if (o == requester) continue;
-    if ((holders & (std::uint64_t{1} << o)) == 0) continue;
+  for (; holders != 0; holders &= holders - 1) {
+    const auto o = static_cast<CoreId>(std::countr_zero(holders));
     TagArray& tl1 = l1_[o];
     TagArray::Slot slot = tl1.find(line);
 
@@ -252,6 +251,7 @@ MemorySystem::ProbeOutcome MemorySystem::probe_remotes(CoreId requester,
               mutation_ == ProtocolMutation::kForgetInvalidatedSpecinfo) {
             retain = false;
             spec_meta_[o].erase(line);
+            if (oracle) dir_remove(spec_dir_, o, line);
             if (slot != TagArray::kNoSlot) tl1.set_spec_flag(slot, false);
           }
         }
@@ -270,7 +270,7 @@ MemorySystem::ProbeOutcome MemorySystem::probe_remotes(CoreId requester,
         } else {
           tl1.drop_slot(slot);
           dirty_marks_[o].erase(line);
-          dir_remove(o, line);
+          dir_remove(l1_dir_, o, line);
         }
         l2_[o].drop(line);
         l3_[o].drop(line);
@@ -299,7 +299,7 @@ bool MemorySystem::evict_speculative_line(CoreId core) {
   if (const TagArray::Slot s = l1_[core].find(victim);
       s != TagArray::kNoSlot) {
     l1_[core].drop_slot(s);
-    dir_remove(core, victim);
+    dir_remove(l1_dir_, core, victim);
   }
   l2_[core].drop(victim);
   l3_[core].drop(victim);
@@ -307,6 +307,7 @@ bool MemorySystem::evict_speculative_line(CoreId core) {
   // The entry dies with the imminent capacity abort; erase it now so the
   // metadata-residency invariant holds at every audit point.
   spec_meta_[core].erase(victim);
+  if (oracle_) dir_remove(spec_dir_, core, victim);
   return true;
 }
 
@@ -334,17 +335,22 @@ TagArray::Slot MemorySystem::fill_l1(CoreId core, Addr line, Moesi state) {
   }
   if (t.line(victim) != TagArray::kEmptyTag) {
     dirty_marks_[core].erase(t.line(victim));
-    dir_remove(core, t.line(victim));
+    dir_remove(l1_dir_, core, t.line(victim));
   }
   t.fill(victim, line, state);
-  dir_add(core, line);
+  dir_add(l1_dir_, core, line);
   return victim;
 }
 
 bool MemorySystem::oracle_check(CoreId requester, Addr line, ByteMask mask,
                                 bool is_write) {
-  for (CoreId o = 0; o < cfg_.ncores; ++o) {
-    if (o == requester || spec_meta_[o].empty()) continue;
+  // Only cores with metadata for `line` can conflict; visit them in
+  // ascending core order. A doom below clears only the victim's own bits,
+  // so the snapshot stays exact for the cores still to visit.
+  std::uint64_t holders =
+      dir_mask(spec_dir_, line) & ~(std::uint64_t{1} << requester);
+  for (; holders != 0; holders &= holders - 1) {
+    const auto o = static_cast<CoreId>(std::countr_zero(holders));
     auto it = spec_meta_[o].find(line);
     if (it == spec_meta_[o].end() || txctl_ == nullptr || !txctl_->in_tx(o)) {
       continue;
@@ -569,13 +575,10 @@ void MemorySystem::validate_readers_at_commit(CoreId committer, Addr line,
   // Only probe-based detectors reach this point (the oracle returned
   // above), so any reader metadata for `line` implies tag-array residency
   // (metadata-residency invariant) — holder cores are the only candidates.
-  const auto dit = l1_dir_.find(line);
-  if (dit == l1_dir_.end()) return;
-  const std::uint64_t holders =
-      dit->second & ~(std::uint64_t{1} << committer);
-  for (CoreId o = 0; o < cfg_.ncores; ++o) {
-    if ((holders & (std::uint64_t{1} << o)) == 0) continue;
-    if (o == committer || spec_meta_[o].empty()) continue;
+  std::uint64_t holders =
+      dir_mask(l1_dir_, line) & ~(std::uint64_t{1} << committer);
+  for (; holders != 0; holders &= holders - 1) {
+    const auto o = static_cast<CoreId>(std::countr_zero(holders));
     auto it = spec_meta_[o].find(line);
     if (it == spec_meta_[o].end() || txctl_ == nullptr || !txctl_->in_tx(o)) {
       continue;
@@ -648,6 +651,12 @@ std::string MemorySystem::check_invariants() const {
         return "core " + std::to_string(c) + " line " + std::to_string(line) +
                ": speculative metadata without a resident line";
       }
+      if (oracle &&
+          (dir_mask(spec_dir_, line) & (std::uint64_t{1} << c)) == 0) {
+        return "core " + std::to_string(c) + " line " + std::to_string(line) +
+               ": speculative metadata missing from the speculative-holder "
+               "directory";
+      }
       if (s != TagArray::kNoSlot && !oracle && !l1_[c].spec_flag(s)) {
         return "core " + std::to_string(c) + " line " + std::to_string(line) +
                ": speculative metadata but summary flag clear";
@@ -701,6 +710,21 @@ std::string MemorySystem::check_invariants() const {
       }
     }
   }
+  // Speculative-holder directory converse: every bit must point at live
+  // metadata (a stale-1 only costs a wasted visit, but means a clear path
+  // missed its directory update). Probe-based detectors never fill it.
+  if (!oracle && !spec_dir_.empty()) {
+    return "speculative-holder directory in use under a probe-based detector";
+  }
+  for (const auto& [line, mask] : spec_dir_) {
+    for (CoreId c = 0; c < cfg_.ncores; ++c) {
+      if ((mask & (std::uint64_t{1} << c)) != 0 &&
+          spec_meta_[c].find(line) == spec_meta_[c].end()) {
+        return "core " + std::to_string(c) + " line " + std::to_string(line) +
+               ": speculative-holder directory bit without metadata";
+      }
+    }
+  }
   // Piggyback coverage (paper §IV-C): while core c's transaction holds S-WR
   // sub-blocks on a line, every OTHER core with a load-origin copy (S or E —
   // such a copy can only come from a non-invalidating fill, whose response
@@ -738,16 +762,17 @@ void MemorySystem::clear_spec(CoreId core, bool discard_written_lines) {
   // depends on visit order.
   // asfsim-lint: allow(unordered-iteration)
   for (auto& [line, meta] : spec_meta_[core]) {
+    if (oracle_) dir_remove(spec_dir_, core, line);
     const TagArray::Slot s = l1_[core].find(line);
     if (s == TagArray::kNoSlot) continue;
     if (l1_[core].retained(s)) {
       // Invalid-but-retained line: its speculative info dies with the tx.
       l1_[core].drop_slot(s);
-      dir_remove(core, line);
+      dir_remove(l1_dir_, core, line);
     } else if (discard_written_lines && meta.write_bytes != 0) {
       // Abort: discard speculatively-modified lines (ASF §IV-A).
       l1_[core].drop_slot(s);
-      dir_remove(core, line);
+      dir_remove(l1_dir_, core, line);
       l2_[core].drop(line);
       l3_[core].drop(line);
       dirty_marks_[core].erase(line);

@@ -147,7 +147,8 @@ class MemorySystem {
   ///   * at most one O owner per line;
   ///   * retained (invalid-with-info) entries are backed by live metadata;
   ///   * every speculative-metadata line is resident (valid or retained);
-  ///   * byte masks and architectural sub-block bits agree.
+  ///   * byte masks and architectural sub-block bits agree;
+  ///   * the L1 residency and speculative-holder directories are exact.
   [[nodiscard]] std::string check_invariants() const;
 
  private:
@@ -197,16 +198,23 @@ class MemorySystem {
   /// delay (cycles the requester stalls behind earlier broadcasts).
   Cycle bus_acquire();
 
-  /// Set/clear `core`'s bit in the L1 residency directory (below). Every
-  /// L1 occupancy change must go through these to keep the directory exact.
-  void dir_add(CoreId core, Addr line) {
-    l1_dir_[line] |= std::uint64_t{1} << core;
+  /// Set/clear `core`'s bit for `line` in a core-mask directory (l1_dir_ or
+  /// spec_dir_ below). Every change to what a directory tracks must go
+  /// through these to keep it exact.
+  static void dir_add(AddrMap<std::uint64_t>& dir, CoreId core, Addr line) {
+    dir[line] |= std::uint64_t{1} << core;
   }
-  void dir_remove(CoreId core, Addr line) {
-    const auto it = l1_dir_.find(line);
-    if (it == l1_dir_.end()) return;
+  static void dir_remove(AddrMap<std::uint64_t>& dir, CoreId core,
+                         Addr line) {
+    const auto it = dir.find(line);
+    if (it == dir.end()) return;
     it->second &= ~(std::uint64_t{1} << core);
-    if (it->second == 0) l1_dir_.erase(line);
+    if (it->second == 0) dir.erase(line);
+  }
+  [[nodiscard]] static std::uint64_t dir_mask(const AddrMap<std::uint64_t>& dir,
+                                              Addr line) {
+    const auto it = dir.find(line);
+    return it == dir.end() ? 0 : it->second;
   }
 
   std::vector<TagArray> l1_, l2_, l3_;  // one per core (private hierarchy)
@@ -216,9 +224,15 @@ class MemorySystem {
   /// cores: for probe-based detectors both the MOESI effects and the
   /// speculative-conflict gate require tag occupancy in the probed core
   /// (the metadata-residency invariant, audited in check_invariants), so
-  /// skipping non-holders is outcome-identical. Oracle detectors bypass
-  /// the filter — their metadata deliberately survives eviction.
+  /// skipping non-holders is outcome-identical.
   AddrMap<std::uint64_t> l1_dir_;
+  /// Speculative-holder directory, kept for global-oracle detectors only
+  /// (empty otherwise): line -> bitmask of cores whose spec_meta_ holds the
+  /// line. Oracle metadata deliberately outlives L1 residency, so the oracle
+  /// probes `l1_dir_ | spec_dir_` holders and oracle_check walks spec_dir_
+  /// holders instead of every core. Both directions are audited in
+  /// check_invariants.
+  AddrMap<std::uint64_t> spec_dir_;
   Cycle bus_free_at_ = 0;  // snoop bus busy-until cycle
   // Speculative metadata for the core's current transaction, keyed by line.
   mutable std::vector<AddrMap<SpecState>> spec_meta_;

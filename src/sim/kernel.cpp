@@ -7,10 +7,23 @@
 
 namespace asfsim {
 
-Kernel::Kernel(std::uint32_t ncores)
-    : cores_(ncores), ready_(ncores, kIdle), seq_(ncores, ~std::uint64_t{0}) {
+namespace {
+
+// Validates before the constructor sizes any per-core array.
+std::uint32_t checked_ncores(std::uint32_t ncores) {
   if (ncores == 0) throw std::invalid_argument("Kernel: ncores must be > 0");
+  if (ncores > Kernel::kMaxCores) {
+    throw std::invalid_argument("Kernel: ncores must be <= " +
+                                std::to_string(Kernel::kMaxCores) +
+                                " (core id is packed into the event key)");
+  }
+  return ncores;
 }
+
+}  // namespace
+
+Kernel::Kernel(std::uint32_t ncores)
+    : cores_(checked_ncores(ncores)), keys_(ncores, kIdleKey) {}
 
 void Kernel::spawn(CoreId core, Task<void> root, Cycle start) {
   auto& slot = cores_.at(core);
@@ -20,25 +33,26 @@ void Kernel::spawn(CoreId core, Task<void> root, Cycle start) {
   schedule(core, slot.root.raw_handle(), start);
 }
 
+void Kernel::arm(CoreId core, Cycle at) {
+  assert(keys_[core] == kIdleKey && "one pending event per core");
+  if (fault_ != nullptr) at += fault_->sched_jitter(core);
+  const Cycle cycle = at < now_ ? now_ : at;
+  const std::uint64_t seq_word = (seq_counter_++ << kCoreBits) | core;
+  keys_[core] = (EventKey{cycle} << 64) | seq_word;
+}
+
 void Kernel::schedule(CoreId core, std::coroutine_handle<> h, Cycle at) {
   assert(core < cores_.size());
-  auto& slot = cores_[core];  // hot path: every leaf await lands here
-  assert(ready_[core] == kIdle && "one pending resume per core");
-  if (fault_ != nullptr) at += fault_->sched_jitter(core);
-  slot.pending = h;
-  ready_[core] = at < now_ ? now_ : at;
-  seq_[core] = seq_counter_++;
+  cores_[core].pending = h;  // hot path: every leaf await lands here
+  arm(core, at);
 }
 
 void Kernel::schedule_callback(CoreId core, std::function<void()> fn,
                                Cycle at) {
   auto& slot = cores_.at(core);
-  assert(ready_[core] == kIdle && "one pending event per core");
-  if (fault_ != nullptr) at += fault_->sched_jitter(core);
   slot.pending = {};
   slot.callback = std::move(fn);
-  ready_[core] = at < now_ ? now_ : at;
-  seq_[core] = seq_counter_++;
+  arm(core, at);
 }
 
 Cycle Kernel::run(Cycle max_cycles) {
@@ -49,21 +63,12 @@ Cycle Kernel::run(Cycle max_cycles) {
   progress_mark_ = now_;
   audit_mark_ = now_;
   for (;;) {
-    // Pick the earliest pending event; FIFO among equal cycles. Idle cores
-    // hold (kIdle, ~0) and can never win the comparison, so the scan is a
-    // branch-light sweep over the two dense arrays.
-    CoreId best = kInvalidCore;
-    Cycle best_at = kIdle;
-    std::uint64_t best_seq = ~std::uint64_t{0};
-    for (CoreId c = 0; c < ready_.size(); ++c) {
-      const Cycle at = ready_[c];
-      if (at < best_at || (at == best_at && seq_[c] < best_seq)) {
-        best = c;
-        best_at = at;
-        best_seq = seq_[c];
-      }
-    }
-    if (best == kInvalidCore) {
+    // Pick the earliest pending event; FIFO among equal cycles. The keys
+    // order exactly like (cycle, seq), so this is a compare-select min over
+    // one dense array; idle cores hold kIdleKey and never win.
+    EventKey best_key = kIdleKey;
+    for (const EventKey k : keys_) best_key = k < best_key ? k : best_key;
+    if (best_key == kIdleKey) {
       // No events: either everything finished, or we are deadlocked.
       for (CoreId c = 0; c < cores_.size(); ++c) {
         if (cores_[c].spawned && !cores_[c].finished) {
@@ -74,6 +79,9 @@ Cycle Kernel::run(Cycle max_cycles) {
       }
       return now_;
     }
+    const auto best = static_cast<CoreId>(static_cast<std::uint64_t>(best_key) &
+                                          (kMaxCores - 1));
+    const auto best_at = static_cast<Cycle>(best_key >> 64);
 
     auto& slot = cores_[best];
     if (best_at > now_) now_ = best_at;
@@ -107,8 +115,7 @@ Cycle Kernel::run(Cycle max_cycles) {
             std::to_string(now_) + ")");
       }
     }
-    ready_[best] = kIdle;
-    seq_[best] = ~std::uint64_t{0};
+    keys_[best] = kIdleKey;
     ++events_;
     if (slot.pending) {
       const auto h = slot.pending;

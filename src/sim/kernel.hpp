@@ -47,6 +47,12 @@ class FaultPlan;
 
 class Kernel {
  public:
+  /// Core ids are packed into the low kCoreBits of each event's sequence
+  /// word (see EventKey), so a kernel holds at most kMaxCores cores.
+  static constexpr unsigned kCoreBits = 10;
+  static constexpr std::uint32_t kMaxCores = std::uint32_t{1} << kCoreBits;
+
+  /// Throws std::invalid_argument for ncores == 0 or ncores > kMaxCores.
   explicit Kernel(std::uint32_t ncores);
 
   [[nodiscard]] Cycle now() const { return now_; }
@@ -132,17 +138,24 @@ class Kernel {
     Cycle finish_cycle = 0;
   };
 
-  /// ready_[c] == kIdle means "no pending event for core c".
-  static constexpr Cycle kIdle = ~Cycle{0};
+  // One 128-bit key per core: the event's cycle in the high word, and in
+  // the low word the FIFO sequence number shifted left by kCoreBits with the
+  // core id in the freed bits. Sequence numbers are unique and monotonic, so
+  // comparing keys orders events by (cycle, seq) — the core id never decides
+  // — and the winner's core id falls out of the key itself: the run loop's
+  // pick is a branch-free min-reduce over one dense array
+  // (docs/performance.md).
+  __extension__ typedef unsigned __int128 EventKey;
+  /// keys_[c] == kIdleKey means "no pending event for core c"; it can never
+  /// win the min-reduce against a live key.
+  static constexpr EventKey kIdleKey = ~EventKey{0};
+
+  /// Stamp `core`'s pending event at cycle `at` (clamped to now()) with the
+  /// next sequence number.
+  void arm(CoreId core, Cycle at);
 
   std::vector<CoreSlot> cores_;
-  // The event-selection scan runs once per simulated event over every core;
-  // keeping (ready cycle, FIFO seq) in dense parallel arrays makes it a
-  // two-stream walk over a handful of cache lines instead of a stride
-  // through the fat CoreSlot structs (docs/performance.md). Idle cores
-  // carry (kIdle, ~0), which can never win the (cycle, seq) comparison.
-  std::vector<Cycle> ready_;
-  std::vector<std::uint64_t> seq_;
+  std::vector<EventKey> keys_;
   Cycle now_ = 0;
   std::uint64_t seq_counter_ = 0;
   std::uint64_t events_ = 0;

@@ -7,6 +7,7 @@
 // paper, most of labyrinth's aborts are user aborts and its absolute
 // conflict count is tiny (making Fig 9's percentage noisy).
 #include <algorithm>
+#include <array>
 #include <queue>
 #include <vector>
 
@@ -105,13 +106,21 @@ class LabyrinthWorkload final : public Workload {
   }
 
  private:
-  [[nodiscard]] std::vector<std::uint32_t> neighbors(std::uint32_t cell) const {
-    std::vector<std::uint32_t> out;
+  /// The up-to-four grid neighbours of a cell (left, right, up, down) in a
+  /// fixed array: the BFS visits in plan() and validate() allocate nothing.
+  struct Neighbors {
+    std::array<std::uint32_t, 4> cells{};
+    std::size_t n = 0;
+    [[nodiscard]] const std::uint32_t* begin() const { return cells.data(); }
+    [[nodiscard]] const std::uint32_t* end() const { return cells.data() + n; }
+  };
+  [[nodiscard]] Neighbors neighbors(std::uint32_t cell) const {
+    Neighbors out;
     const std::uint32_t x = cell % side_, y = cell / side_;
-    if (x > 0) out.push_back(cell - 1);
-    if (x + 1 < side_) out.push_back(cell + 1);
-    if (y > 0) out.push_back(cell - side_);
-    if (y + 1 < side_) out.push_back(cell + side_);
+    if (x > 0) out.cells[out.n++] = cell - 1;
+    if (x + 1 < side_) out.cells[out.n++] = cell + 1;
+    if (y > 0) out.cells[out.n++] = cell - side_;
+    if (y + 1 < side_) out.cells[out.n++] = cell + side_;
     return out;
   }
 

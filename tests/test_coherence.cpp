@@ -10,6 +10,7 @@
 #include "core/detector.hpp"
 #include "mem/coherence.hpp"
 #include "sim/kernel.hpp"
+#include "stats/serialize.hpp"
 
 namespace asfsim {
 namespace {
@@ -314,6 +315,98 @@ TEST(BusContention, LocalHitsNeverTouchTheBus) {
   const AccessResult hit = mem.access(0, 0x10000, 8, false, false);
   EXPECT_EQ(hit.latency, cfg.l1.latency);
   EXPECT_EQ(mem.bus_busy_until(), busy) << "hits must not occupy the bus";
+}
+
+// ---- speculative-holder directory (perfect oracle) -------------------------
+
+/// A MemorySystem driven by the perfect oracle, with no bus queuing.
+struct OracleSystem {
+  explicit OracleSystem(std::uint32_t ncores)
+      : cfg(make_cfg(ncores)), kernel(cfg.ncores), mem(kernel, cfg, stats),
+        tx(cfg.ncores), det(make_detector(DetectorKind::kPerfect)) {
+    mem.set_detector(det.get());
+    mem.set_tx_control(&tx);
+    tx.mem = &mem;
+  }
+  static SimConfig make_cfg(std::uint32_t ncores) {
+    SimConfig c;
+    c.ncores = ncores;
+    c.bus_occupancy = 0;
+    return c;
+  }
+  AccessResult access(CoreId c, Addr a, bool write) {
+    return mem.access(c, a, 8, write, tx.active[c]);
+  }
+
+  SimConfig cfg;
+  Kernel kernel;
+  Stats stats;
+  MemorySystem mem;
+  FakeTxControl tx;
+  std::unique_ptr<ConflictDetector> det;
+};
+
+constexpr Addr kLine = 0x10000;
+
+TEST(SpecHolderDirectory, OracleFlagsTrueConflictAfterVictimLostTheLine) {
+  OracleSystem sys(4);
+  sys.tx.active[0] = true;
+  sys.tx.active[2] = true;
+  sys.access(0, kLine, false);  // core0 spec-reads bytes 0..7
+  // A non-transactional write elsewhere in the line invalidates core0's
+  // copy; the oracle keeps core0's metadata without any L1 residency.
+  sys.access(1, kLine + 32, true);
+  EXPECT_EQ(sys.mem.l1_state(0, kLine), Moesi::kInvalid);
+  ASSERT_NE(sys.mem.spec_state(0, kLine), nullptr);
+  EXPECT_EQ(sys.mem.check_invariants(), "");
+  EXPECT_EQ(sys.stats.false_conflicts_avoided, 1u);
+
+  // The next invalidating probe still reaches the non-resident holder (one
+  // more avoided false conflict) ...
+  sys.access(2, kLine + 48, true);
+  EXPECT_EQ(sys.stats.false_conflicts_avoided, 2u);
+  EXPECT_TRUE(sys.tx.dooms.empty());
+  // ... and a true overlap is flagged even on an L1 write hit (no probe).
+  sys.access(2, kLine, true);
+  ASSERT_EQ(sys.tx.dooms.size(), 1u);
+  EXPECT_EQ(sys.tx.dooms[0].victim, 0u);
+  EXPECT_EQ(sys.tx.dooms[0].requester, 2u);
+  EXPECT_EQ(sys.tx.dooms[0].type, ConflictType::kWAR);
+  EXPECT_FALSE(sys.tx.dooms[0].is_false);
+  EXPECT_EQ(sys.mem.spec_state(0, kLine), nullptr);
+  EXPECT_EQ(sys.mem.check_invariants(), "");
+}
+
+TEST(SpecHolderDirectory, BystanderCoresAreSkippedWithIdenticalStats) {
+  // The same victim/requester script, once on two cores and once on eight
+  // cores whose bystanders sit between the two in core order. Bystanders
+  // hold neither the tag nor metadata for the line (two of them are in a
+  // transaction on another line), so every stat must match.
+  auto run = [](std::uint32_t ncores, CoreId requester) {
+    OracleSystem sys(ncores);
+    for (CoreId b = 1; b < requester; b += 2) {
+      sys.tx.active[b] = true;
+      sys.access(b, kLine + 64 * kLineBytes, false);
+    }
+    sys.stats = Stats{};
+    sys.tx.active[0] = true;
+    sys.tx.active[requester] = true;
+    sys.access(0, kLine, false);
+    sys.access(0, kLine + 16, true);
+    sys.access(requester, kLine + 40, false);  // S-WR elsewhere: avoided
+    sys.access(requester, kLine + 48, true);   // false WAR/WAW: avoided
+    sys.access(requester, kLine, true);        // true WAR: core0 doomed
+    EXPECT_EQ(sys.mem.check_invariants(), "");
+    EXPECT_EQ(sys.tx.dooms.size(), 1u);
+    return serialize_stats(sys.stats);
+  };
+  const std::string two = run(2, 1);
+  EXPECT_EQ(two, run(8, 7));
+  Stats parsed;
+  ASSERT_TRUE(deserialize_stats(two, parsed));
+  EXPECT_EQ(parsed.false_conflicts_avoided, 2u);
+  EXPECT_EQ(parsed.conflicts_total, 1u);
+  EXPECT_EQ(parsed.probes_sent, 3u);
 }
 
 }  // namespace

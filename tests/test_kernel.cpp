@@ -30,6 +30,13 @@ Task<void> ticker(Kernel* k, CoreId core, int n, Cycle step,
 
 Task<void> nop(Kernel* k, CoreId core) { co_await Sleep{k, core, 1}; }
 
+/// Logs its core and the cycle of its first (and only) resume.
+Task<void> mark(Kernel* k, CoreId core,
+                std::vector<std::pair<CoreId, Cycle>>* log) {
+  log->emplace_back(core, k->now());
+  co_return;
+}
+
 Task<void> parked(Kernel*, CoreId) {
   struct Never {
     bool await_ready() const noexcept { return false; }
@@ -40,6 +47,11 @@ Task<void> parked(Kernel*, CoreId) {
 }
 
 TEST(Kernel, RequiresCores) { EXPECT_THROW(Kernel{0}, std::invalid_argument); }
+
+TEST(Kernel, RejectsMoreCoresThanTheEventKeyHolds) {
+  EXPECT_NO_THROW(Kernel{Kernel::kMaxCores});
+  EXPECT_THROW(Kernel{Kernel::kMaxCores + 1}, std::invalid_argument);
+}
 
 TEST(Kernel, RunsToCompletionAndAdvancesTime) {
   Kernel k(2);
@@ -78,6 +90,23 @@ TEST(Kernel, SameCycleEventsServeFifo) {
   EXPECT_EQ(log[0].first, 0u) << "earlier-scheduled event first";
   EXPECT_EQ(log[1].first, 1u);
   EXPECT_EQ(log[0].second, log[1].second);
+}
+
+TEST(Kernel, SameCycleTiesServeFifoAcrossCoresAndCallbacks) {
+  // Three roots are armed for cycle 10 in descending core-id order, with a
+  // callback queued for the same cycle between the second and the third.
+  // The core id packed into the event key must not reorder them: service
+  // follows scheduling order.
+  Kernel k(4);
+  std::vector<std::pair<CoreId, Cycle>> log;
+  k.spawn(3, mark(&k, 3, &log), 10);
+  k.spawn(2, mark(&k, 2, &log), 10);
+  k.schedule_callback(0, [&] { log.emplace_back(0, k.now()); }, 10);
+  k.spawn(1, mark(&k, 1, &log), 10);
+  k.run();
+  const std::vector<std::pair<CoreId, Cycle>> expect = {
+      {3, 10}, {2, 10}, {0, 10}, {1, 10}};
+  EXPECT_EQ(log, expect);
 }
 
 TEST(Kernel, DetectsGuestDeadlock) {

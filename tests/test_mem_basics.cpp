@@ -1,6 +1,7 @@
 // Unit tests: BackingStore, GAllocator, Rng.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <set>
 
 #include "mem/backing_store.hpp"
@@ -45,6 +46,29 @@ TEST(BackingStore, SparsePagesAllocateOnWrite) {
   EXPECT_EQ(bs.pages_touched(), 2u);
   EXPECT_EQ(bs.read(0x10000, 8), 1u);
   EXPECT_EQ(bs.read(0x900000, 8), 2u);
+}
+
+TEST(BackingStore, WriteLineCopiesOnlyMaskedBytes) {
+  BackingStore bs;
+  std::array<std::uint8_t, kLineBytes> data{};
+  for (std::uint32_t b = 0; b < kLineBytes; ++b) {
+    data[b] = static_cast<std::uint8_t>(b + 1);
+  }
+  bs.write_line(0x4000, 0, data);
+  EXPECT_EQ(bs.pages_touched(), 0u) << "a zero mask creates no page";
+
+  for (std::uint32_t b = 0; b < kLineBytes; ++b) bs.write(0x4000 + b, 1, 0xee);
+  // Runs at both ends of the line plus a lone byte in the middle.
+  const ByteMask mask = 0xff | (ByteMask{1} << 20) | (ByteMask{0xf} << 60);
+  bs.write_line(0x4000, mask, data);
+  for (std::uint32_t b = 0; b < kLineBytes; ++b) {
+    const std::uint64_t want = (mask >> b) & 1 ? data[b] : 0xee;
+    EXPECT_EQ(bs.read(0x4000 + b, 1), want) << "byte " << b;
+  }
+  bs.write_line(0x4000, ~ByteMask{0}, data);
+  for (std::uint32_t b = 0; b < kLineBytes; ++b) {
+    EXPECT_EQ(bs.read(0x4000 + b, 1), data[b]) << "byte " << b;
+  }
 }
 
 TEST(GAllocator, RespectsAlignment) {
