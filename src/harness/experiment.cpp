@@ -49,6 +49,12 @@ ExperimentResult run_machine(const std::string& workload,
   auto wl = make_workload(workload);
   wl->setup(m, cfg.params);
   m.run(cfg.max_cycles);
+  if (sink != nullptr && !os.flush()) {
+    // A full disk or a closed pipe must fail the job, not pass it with a
+    // truncated trace.
+    throw std::runtime_error("run_experiment: cannot write trace file " +
+                             trace.path);
+  }
 
   ExperimentResult r;
   r.workload = workload;

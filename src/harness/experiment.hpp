@@ -71,7 +71,8 @@ struct ExperimentResult {
 
 /// Same, streaming the full event timeline to `trace.path` while running.
 /// Tracing never perturbs simulated timing: stats and cycle counts are
-/// byte-identical with and without it. Throws if the file cannot be opened.
+/// byte-identical with and without it. Throws if the file cannot be opened
+/// or written.
 [[nodiscard]] ExperimentResult run_experiment(const std::string& workload,
                                               const ExperimentConfig& cfg,
                                               const TraceOptions& trace);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <iterator>
 
 namespace asfsim::prov {
 
@@ -48,29 +49,51 @@ void SiteRegistry::on_alloc(Addr base, std::uint64_t size, SiteId site) {
   info.objects += info.obj_size != 0 ? (size + info.obj_size - 1) / info.obj_size
                                      : 1;
   info.bytes += size;
-  if (!extents_.empty() && base < extents_.back().base) sorted_ = false;
+  if (size == 0) return;  // covers no address: nothing for resolve() to find
+  const bool in_order = sorted_ == extents_.size() &&
+                        (sorted_ == 0 || base >= extents_.back().base);
   extents_.push_back(Extent{base, size, site, first});
+  if (in_order) {
+    ++sorted_;
+  } else if (extents_.size() - sorted_ > kMaxTail) {
+    merge_tail();
+  }
+}
+
+void SiteRegistry::merge_tail() {
+  const auto by_base = [](const Extent& a, const Extent& b) {
+    return a.base < b.base;
+  };
+  const auto mid = extents_.begin() + static_cast<std::ptrdiff_t>(sorted_);
+  std::sort(mid, extents_.end(), by_base);
+  // Merges backward from the end: the cost is the tail plus the prefix
+  // extents above its lowest base (the newest arena chunks), not the table.
+  std::inplace_merge(extents_.begin(), mid, extents_.end(), by_base);
+  sorted_ = extents_.size();
 }
 
 SiteRegistry::Location SiteRegistry::resolve(Addr addr) const {
-  if (extents_.empty()) return {};
-  if (!sorted_) {
-    std::sort(extents_.begin(), extents_.end(),
-              [](const Extent& a, const Extent& b) { return a.base < b.base; });
-    sorted_ = true;
-  }
-  // First extent with base > addr; the candidate is its predecessor.
-  auto it = std::upper_bound(
-      extents_.begin(), extents_.end(), addr,
+  const auto covers = [addr](const Extent& e) {
+    return addr >= e.base && addr - e.base < e.size;
+  };
+  const Extent* hit = nullptr;
+  // First sorted extent with base > addr; the candidate is its predecessor.
+  const auto mid = extents_.begin() + static_cast<std::ptrdiff_t>(sorted_);
+  const auto it = std::upper_bound(
+      extents_.begin(), mid, addr,
       [](Addr a, const Extent& e) { return a < e.base; });
-  if (it == extents_.begin()) return {};
-  --it;
-  if (addr >= it->base + it->size) return {};
+  if (it != extents_.begin() && covers(*std::prev(it))) {
+    hit = &*std::prev(it);
+  } else {
+    const auto t = std::find_if(mid, extents_.end(), covers);
+    if (t != extents_.end()) hit = &*t;
+  }
+  if (hit == nullptr) return {};
   Location loc;
-  loc.site = it->site;
-  const std::uint64_t obj_size = sites_[it->site].obj_size;
+  loc.site = hit->site;
+  const std::uint64_t obj_size = sites_[hit->site].obj_size;
   loc.object =
-      it->first_object + (obj_size != 0 ? (addr - it->base) / obj_size : 0);
+      hit->first_object + (obj_size != 0 ? (addr - hit->base) / obj_size : 0);
   return loc;
 }
 

@@ -1,23 +1,16 @@
 #include "trace/conflicts.hpp"
 
 #include <algorithm>
-#include <cstdio>
 #include <istream>
 #include <ostream>
 
 #include "stats/report.hpp"
+#include "trace/json_writer.hpp"
 #include "trace/jsonl.hpp"
 
 namespace asfsim::trace {
 
 namespace {
-
-std::string hex_line(Addr line) {
-  char buf[24];
-  std::snprintf(buf, sizeof(buf), "0x%llx",
-                static_cast<unsigned long long>(line));
-  return buf;
-}
 
 const std::string kUnknownSite = "(site?)";
 
@@ -181,7 +174,7 @@ void print_conflicts(const ConflictForensics& f, std::ostream& os, int top_n) {
     if (rows.size() > static_cast<std::size_t>(top_n)) rows.resize(top_n);
     TextTable t({"Line", "Site", "False", "True", "Heat"});
     for (const auto& [line, la] : rows) {
-      t.add_row({hex_line(line), f.site_name(la.victim_site),
+      t.add_row({hex_string(line), f.site_name(la.victim_site),
                  std::to_string(la.false_conflicts),
                  std::to_string(la.true_conflicts), heat_string(la, ncells)});
     }
@@ -225,7 +218,7 @@ void print_conflicts_csv(const ConflictForensics& f, std::ostream& os) {
   }
   os << "\nline,site,false,true,subs\n";
   for (const auto& [line, la] : f.by_line) {
-    os << hex_line(line) << ',' << f.site_name(la.victim_site) << ','
+    os << hex_string(line) << ',' << f.site_name(la.victim_site) << ','
        << la.false_conflicts << ',' << la.true_conflicts << ',';
     bool first = true;
     for (std::uint32_t s = 0; s < la.sub_hits.size(); ++s) {

@@ -1,50 +1,12 @@
 #include "trace/jsonl.hpp"
 
-#include <cinttypes>
-#include <cstdio>
-#include <cstring>
 #include <ostream>
+
+#include "trace/json_writer.hpp"
 
 namespace asfsim::trace {
 
 namespace {
-
-void put_u64(std::string& out, const char* key, std::uint64_t v) {
-  char buf[48];
-  std::snprintf(buf, sizeof(buf), ",\"%s\":%" PRIu64, key, v);
-  out += buf;
-}
-
-void put_str(std::string& out, const char* key, const char* v) {
-  out += ",\"";
-  out += key;
-  out += "\":\"";
-  out += v;
-  out += '"';
-}
-
-void put_bool(std::string& out, const char* key, bool v) {
-  out += ",\"";
-  out += key;
-  out += "\":";
-  out += v ? "true" : "false";
-}
-
-void put_prov(std::string& out, const TraceEvent& ev) {
-  if (!ev.has_prov) return;
-  put_u64(out, "victim_site", ev.victim_site);
-  put_u64(out, "victim_obj", ev.victim_obj);
-  put_u64(out, "victim_sub", ev.victim_sub);
-  put_u64(out, "req_site", ev.req_site);
-  put_u64(out, "req_obj", ev.req_obj);
-}
-
-void put_footprint(std::string& out, const TraceEvent& ev) {
-  put_u64(out, "read_lines", ev.read_lines);
-  put_u64(out, "write_lines", ev.write_lines);
-  put_u64(out, "read_subs", ev.read_subs);
-  put_u64(out, "write_subs", ev.write_subs);
-}
 
 bool parse_kind(std::string_view s, TraceEventKind& out) {
   for (std::size_t i = 0; i < kTraceEventKinds; ++i) {
@@ -164,91 +126,88 @@ class LineParser {
 }  // namespace
 
 void to_jsonl(const TraceEvent& ev, std::string& out) {
-  out += "{\"kind\":\"";
-  out += to_string(ev.kind);
-  out += '"';
+  JsonWriter w(out);
+  w.open().str("kind", to_string(ev.kind));
   switch (ev.kind) {
     case TraceEventKind::kBegin:
-      put_u64(out, "core", ev.core);
-      put_u64(out, "cycle", ev.cycle);
+      w.u64("core", ev.core).u64("cycle", ev.cycle);
       break;
     case TraceEventKind::kCommit:
-      put_u64(out, "core", ev.core);
-      put_u64(out, "cycle", ev.cycle);
-      put_u64(out, "start", ev.span_begin);
-      put_u64(out, "retries", ev.retries);
-      put_u64(out, "wasted", ev.wasted);
-      put_footprint(out, ev);
+      w.u64("core", ev.core)
+          .u64("cycle", ev.cycle)
+          .u64("start", ev.span_begin)
+          .u64("retries", ev.retries)
+          .u64("wasted", ev.wasted);
+      footprint_fields(w, ev);
       break;
     case TraceEventKind::kAbort:
-      put_u64(out, "core", ev.core);
-      put_u64(out, "cycle", ev.cycle);
-      put_u64(out, "start", ev.span_begin);
-      put_str(out, "cause", to_string(ev.cause));
-      put_u64(out, "wasted", ev.wasted);
-      put_footprint(out, ev);
+      w.u64("core", ev.core)
+          .u64("cycle", ev.cycle)
+          .u64("start", ev.span_begin)
+          .str("cause", to_string(ev.cause))
+          .u64("wasted", ev.wasted);
+      footprint_fields(w, ev);
       break;
     case TraceEventKind::kConflict:
-      put_u64(out, "core", ev.core);
-      put_u64(out, "other", ev.other);
-      put_u64(out, "cycle", ev.cycle);
-      put_u64(out, "line", ev.line);
-      put_str(out, "type", to_string(ev.type));
-      put_bool(out, "false", ev.is_false);
-      put_u64(out, "probe_mask", ev.probe_mask);
-      put_u64(out, "victim_mask", ev.victim_mask);
-      put_prov(out, ev);
+      w.u64("core", ev.core)
+          .u64("other", ev.other)
+          .u64("cycle", ev.cycle)
+          .u64("line", ev.line)
+          .str("type", to_string(ev.type))
+          .boolean("false", ev.is_false)
+          .u64("probe_mask", ev.probe_mask)
+          .u64("victim_mask", ev.victim_mask);
+      prov_fields(w, ev);
       break;
     case TraceEventKind::kAvoided:
-      put_u64(out, "core", ev.core);
-      put_u64(out, "other", ev.other);
-      put_u64(out, "cycle", ev.cycle);
-      put_u64(out, "line", ev.line);
-      put_u64(out, "probe_mask", ev.probe_mask);
-      put_u64(out, "victim_mask", ev.victim_mask);
-      put_prov(out, ev);
+      w.u64("core", ev.core)
+          .u64("other", ev.other)
+          .u64("cycle", ev.cycle)
+          .u64("line", ev.line)
+          .u64("probe_mask", ev.probe_mask)
+          .u64("victim_mask", ev.victim_mask);
+      prov_fields(w, ev);
       break;
     case TraceEventKind::kFallback:
-      put_u64(out, "core", ev.core);
-      put_u64(out, "cycle", ev.cycle);
-      put_u64(out, "start", ev.span_begin);
-      put_u64(out, "retries", ev.retries);
-      put_u64(out, "wasted", ev.wasted);
+      w.u64("core", ev.core)
+          .u64("cycle", ev.cycle)
+          .u64("start", ev.span_begin)
+          .u64("retries", ev.retries)
+          .u64("wasted", ev.wasted);
       break;
     case TraceEventKind::kBackoff:
-      put_u64(out, "core", ev.core);
-      put_u64(out, "cycle", ev.cycle);
-      put_u64(out, "start", ev.span_begin);
+      w.u64("core", ev.core).u64("cycle", ev.cycle).u64("start", ev.span_begin);
       break;
     case TraceEventKind::kCounter:
-      put_u64(out, "cycle", ev.cycle);
-      put_u64(out, "live_tx", ev.live_tx);
-      put_u64(out, "commits", ev.commits);
-      put_u64(out, "aborts", ev.aborts);
-      put_u64(out, "bus_wait", ev.bus_wait);
+      w.u64("cycle", ev.cycle)
+          .u64("live_tx", ev.live_tx)
+          .u64("commits", ev.commits)
+          .u64("aborts", ev.aborts)
+          .u64("bus_wait", ev.bus_wait);
       break;
     case TraceEventKind::kSite:
-      put_u64(out, "site", ev.site_id);
-      put_str(out, "name", ev.site_name.c_str());
-      put_u64(out, "obj_size", ev.site_obj_size);
-      put_u64(out, "objects", ev.site_objects);
-      put_u64(out, "bytes", ev.site_bytes);
+      w.u64("site", ev.site_id)
+          .str("name", ev.site_name)
+          .u64("obj_size", ev.site_obj_size)
+          .u64("objects", ev.site_objects)
+          .u64("bytes", ev.site_bytes);
       break;
     case TraceEventKind::kPolicy:
-      put_u64(out, "core", ev.core);
-      put_u64(out, "other", ev.other);
-      put_u64(out, "loser", ev.loser);
-      put_u64(out, "cycle", ev.cycle);
-      put_u64(out, "line", ev.line);
+      w.u64("core", ev.core)
+          .u64("other", ev.other)
+          .u64("loser", ev.loser)
+          .u64("cycle", ev.cycle)
+          .u64("line", ev.line);
       break;
     case TraceEventKind::kFallbackAcquired:
-      put_u64(out, "core", ev.core);
-      put_u64(out, "cycle", ev.cycle);
-      put_u64(out, "start", ev.span_begin);
-      put_u64(out, "retries", ev.retries);
+      w.u64("core", ev.core)
+          .u64("cycle", ev.cycle)
+          .u64("start", ev.span_begin)
+          .u64("retries", ev.retries);
       break;
   }
-  out += "}\n";
+  w.close();
+  out += '\n';
 }
 
 bool from_jsonl(std::string_view line, TraceEvent& out) {
@@ -348,7 +307,7 @@ bool from_jsonl(std::string_view line, TraceEvent& out) {
 void JsonlSink::on_event(const TraceEvent& ev) {
   buf_.clear();
   to_jsonl(ev, buf_);
-  os_ << buf_;
+  os_.write(buf_.data(), static_cast<std::streamsize>(buf_.size()));
 }
 
 void JsonlSink::finish(Cycle /*final_cycle*/) { os_.flush(); }

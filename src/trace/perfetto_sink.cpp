@@ -1,89 +1,108 @@
 #include "trace/perfetto_sink.hpp"
 
-#include <cinttypes>
-#include <cstdio>
 #include <ostream>
+
+#include "trace/json_writer.hpp"
 
 namespace asfsim::trace {
 
 namespace {
 
-std::string u64s(std::uint64_t v) {
-  char buf[24];
-  std::snprintf(buf, sizeof(buf), "%" PRIu64, v);
-  return buf;
+/// The fields of a complete-event span on a core track after its name, up
+/// to the open args object; the caller writes the args and closes both.
+void span_fields(JsonWriter& w, std::string_view cname, const TraceEvent& ev) {
+  w.str("ph", "X")
+      .u64("pid", 0)
+      .u64("tid", ev.core)
+      .u64("ts", ev.span_begin)
+      .u64("dur", ev.cycle - ev.span_begin)
+      .str("cname", cname)
+      .key("args")
+      .open();
 }
 
-std::string hex64s(std::uint64_t v) {
-  char buf[24];
-  std::snprintf(buf, sizeof(buf), "0x%" PRIx64, v);
-  return buf;
-}
-
-/// One complete-event span on a core track.
-std::string span(const char* name, const char* cname, CoreId core, Cycle start,
-                 Cycle end, const std::string& args) {
-  std::string r = "{\"name\":\"";
-  r += name;
-  r += "\",\"ph\":\"X\",\"pid\":0,\"tid\":";
-  r += u64s(core);
-  r += ",\"ts\":";
-  r += u64s(start);
-  r += ",\"dur\":";
-  r += u64s(end - start);
-  r += ",\"cname\":\"";
-  r += cname;
-  r += "\",\"args\":{";
-  r += args;
-  r += "}}";
-  return r;
-}
-
-std::string footprint_args(const TraceEvent& ev) {
-  std::string a = "\"read_lines\":" + u64s(ev.read_lines);
-  a += ",\"write_lines\":" + u64s(ev.write_lines);
-  a += ",\"read_subs\":" + u64s(ev.read_subs);
-  a += ",\"write_subs\":" + u64s(ev.write_subs);
-  return a;
-}
-
-/// One counter sample on its own track.
-std::string counter(const char* name, Cycle ts, std::uint64_t value) {
-  std::string r = "{\"name\":\"";
-  r += name;
-  r += "\",\"ph\":\"C\",\"pid\":0,\"ts\":";
-  r += u64s(ts);
-  r += ",\"args\":{\"value\":";
-  r += u64s(value);
-  r += "}}";
-  return r;
+/// The fields of a thread-scoped instant on `ev.core`'s track after its
+/// name, up to the open args object; the caller writes the args and closes
+/// both.
+void instant_fields(JsonWriter& w, const TraceEvent& ev) {
+  w.str("ph", "i")
+      .str("s", "t")
+      .u64("pid", 0)
+      .u64("tid", ev.core)
+      .u64("ts", ev.cycle)
+      .key("args")
+      .open();
 }
 
 }  // namespace
 
 PerfettoSink::PerfettoSink(std::ostream& os) : os_(os) {
-  os_ << "{\"traceEvents\":[\n";
-  write_record(
-      "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":0,"
-      "\"args\":{\"name\":\"asfsim\"}}");
+  rec_ = "{\"traceEvents\":[\n";
+  record()
+      .open()
+      .str("name", "process_name")
+      .str("ph", "M")
+      .u64("pid", 0)
+      .key("args")
+      .open()
+      .str("name", "asfsim")
+      .close()
+      .close();
+  write_out();
 }
 
-void PerfettoSink::write_record(const std::string& json) {
-  if (!first_) os_ << ",\n";
+JsonWriter PerfettoSink::record() {
+  if (!first_) rec_ += ",\n";
   first_ = false;
-  os_ << json;
+  return JsonWriter(rec_);
+}
+
+void PerfettoSink::write_out() {
+  os_.write(rec_.data(), static_cast<std::streamsize>(rec_.size()));
+  rec_.clear();
 }
 
 void PerfettoSink::ensure_core_track(CoreId core) {
   if (core >= core_seen_.size()) core_seen_.resize(core + 1, false);
   if (core_seen_[core]) return;
   core_seen_[core] = true;
-  write_record("{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":0,\"tid\":" +
-               u64s(core) + ",\"args\":{\"name\":\"core " + u64s(core) +
-               "\"}}");
-  write_record(
-      "{\"name\":\"thread_sort_index\",\"ph\":\"M\",\"pid\":0,\"tid\":" +
-      u64s(core) + ",\"args\":{\"sort_index\":" + u64s(core) + "}}");
+  record()
+      .open()
+      .str("name", "thread_name")
+      .str("ph", "M")
+      .u64("pid", 0)
+      .u64("tid", core)
+      .key("args")
+      .open()
+      .str("name", "core ", core)
+      .close()
+      .close();
+  record()
+      .open()
+      .str("name", "thread_sort_index")
+      .str("ph", "M")
+      .u64("pid", 0)
+      .u64("tid", core)
+      .key("args")
+      .open()
+      .u64("sort_index", core)
+      .close()
+      .close();
+}
+
+void PerfettoSink::counter(std::string_view name, Cycle ts,
+                           std::uint64_t value) {
+  record()
+      .open()
+      .str("name", name)
+      .str("ph", "C")
+      .u64("pid", 0)
+      .u64("ts", ts)
+      .key("args")
+      .open()
+      .u64("value", value)
+      .close()
+      .close();
 }
 
 void PerfettoSink::on_event(const TraceEvent& ev) {
@@ -91,121 +110,123 @@ void PerfettoSink::on_event(const TraceEvent& ev) {
     case TraceEventKind::kBegin:
       // Attempt starts are implied by the commit/abort spans; nothing to
       // draw (live_tx counts them).
-      break;
+      return;
     case TraceEventKind::kCommit: {
       ensure_core_track(ev.core);
-      std::string args = "\"retries\":" + u64s(ev.retries);
-      args += ",\"wasted\":" + u64s(ev.wasted);
-      args += "," + footprint_args(ev);
-      write_record(
-          span("tx", "good", ev.core, ev.span_begin, ev.cycle, args));
+      JsonWriter w = record();
+      w.open().str("name", "tx");
+      span_fields(w, "good", ev);
+      w.u64("retries", ev.retries).u64("wasted", ev.wasted);
+      footprint_fields(w, ev);
+      w.close().close();
       break;
     }
     case TraceEventKind::kAbort: {
       ensure_core_track(ev.core);
-      std::string name = "abort (";
-      name += to_string(ev.cause);
-      name += ')';
-      std::string args = "\"cause\":\"";
-      args += to_string(ev.cause);
-      args += "\",\"wasted\":" + u64s(ev.wasted);
-      args += "," + footprint_args(ev);
-      write_record(span(name.c_str(), "terrible", ev.core, ev.span_begin,
-                        ev.cycle, args));
+      JsonWriter w = record();
+      w.open().str("name", "abort (", to_string(ev.cause), ")");
+      span_fields(w, "terrible", ev);
+      w.str("cause", to_string(ev.cause)).u64("wasted", ev.wasted);
+      footprint_fields(w, ev);
+      w.close().close();
       break;
     }
     case TraceEventKind::kConflict:
     case TraceEventKind::kAvoided: {
       ensure_core_track(ev.core);
-      const bool avoided = ev.kind == TraceEventKind::kAvoided;
-      std::string name = avoided ? "avoided" : "conflict ";
-      if (!avoided) {
-        name += to_string(ev.type);
-        name += ev.is_false ? " FALSE" : " true";
+      JsonWriter w = record();
+      w.open();
+      if (ev.kind == TraceEventKind::kAvoided) {
+        w.str("name", "avoided");
+      } else {
+        w.str("name", "conflict ", to_string(ev.type),
+              ev.is_false ? " FALSE" : " true");
       }
-      std::string r = "{\"name\":\"" + name +
-                      "\",\"ph\":\"i\",\"s\":\"t\",\"pid\":0,\"tid\":" +
-                      u64s(ev.core) + ",\"ts\":" + u64s(ev.cycle) +
-                      ",\"args\":{\"victim\":" + u64s(ev.core) +
-                      ",\"requester\":" + u64s(ev.other) + ",\"line\":\"" +
-                      hex64s(ev.line) + "\",\"probe_mask\":\"" +
-                      hex64s(ev.probe_mask) + "\",\"victim_mask\":\"" +
-                      hex64s(ev.victim_mask) + "\"";
-      if (ev.has_prov) {
-        r += ",\"victim_site\":" + u64s(ev.victim_site);
-        r += ",\"victim_obj\":" + u64s(ev.victim_obj);
-        r += ",\"victim_sub\":" + u64s(ev.victim_sub);
-        r += ",\"req_site\":" + u64s(ev.req_site);
-        r += ",\"req_obj\":" + u64s(ev.req_obj);
-      }
-      r += "}}";
-      write_record(r);
+      instant_fields(w, ev);
+      w.u64("victim", ev.core)
+          .u64("requester", ev.other)
+          .hex("line", ev.line)
+          .hex("probe_mask", ev.probe_mask)
+          .hex("victim_mask", ev.victim_mask);
+      prov_fields(w, ev);
+      w.close().close();
       break;
     }
     case TraceEventKind::kFallback: {
       ensure_core_track(ev.core);
-      std::string args = "\"retries\":" + u64s(ev.retries);
-      args += ",\"wasted\":" + u64s(ev.wasted);
-      write_record(
-          span("fallback", "yellow", ev.core, ev.span_begin, ev.cycle, args));
+      JsonWriter w = record();
+      w.open().str("name", "fallback");
+      span_fields(w, "yellow", ev);
+      w.u64("retries", ev.retries).u64("wasted", ev.wasted).close().close();
       break;
     }
-    case TraceEventKind::kBackoff:
+    case TraceEventKind::kBackoff: {
       ensure_core_track(ev.core);
-      write_record(
-          span("backoff", "grey", ev.core, ev.span_begin, ev.cycle, ""));
+      JsonWriter w = record();
+      w.open().str("name", "backoff");
+      span_fields(w, "grey", ev);
+      w.close().close();
       break;
-    case TraceEventKind::kCounter: {
-      write_record(counter("live_tx", ev.cycle, ev.live_tx));
-      write_record(counter("tx_commits", ev.cycle, ev.commits));
-      write_record(counter("tx_aborts", ev.cycle, ev.aborts));
-      write_record(
-          counter("abort_rate", ev.cycle, ev.aborts - prev_aborts_));
-      write_record(counter("bus_wait_cycles", ev.cycle, ev.bus_wait));
+    }
+    case TraceEventKind::kCounter:
+      counter("live_tx", ev.cycle, ev.live_tx);
+      counter("tx_commits", ev.cycle, ev.commits);
+      counter("tx_aborts", ev.cycle, ev.aborts);
+      counter("abort_rate", ev.cycle, ev.aborts - prev_aborts_);
+      counter("bus_wait_cycles", ev.cycle, ev.bus_wait);
       prev_aborts_ = ev.aborts;
       break;
-    }
     case TraceEventKind::kPolicy: {
       // Policy decisions are thread-scoped instants on the victim's track;
       // the loser arg tells which side of the conflict was ruled against.
       ensure_core_track(ev.core);
-      const bool req_lost = ev.loser == ev.other;
-      std::string r = std::string("{\"name\":\"policy: ") +
-                      (req_lost ? "requester loses" : "victim loses") +
-                      "\",\"ph\":\"i\",\"s\":\"t\",\"pid\":0,\"tid\":" +
-                      u64s(ev.core) + ",\"ts\":" + u64s(ev.cycle) +
-                      ",\"args\":{\"victim\":" + u64s(ev.core) +
-                      ",\"requester\":" + u64s(ev.other) + ",\"loser\":" +
-                      u64s(ev.loser) + ",\"line\":\"" + hex64s(ev.line) +
-                      "\"}}";
-      write_record(r);
+      JsonWriter w = record();
+      w.open().str("name", "policy: ", ev.loser == ev.other
+                                           ? "requester loses"
+                                           : "victim loses");
+      instant_fields(w, ev);
+      w.u64("victim", ev.core)
+          .u64("requester", ev.other)
+          .u64("loser", ev.loser)
+          .hex("line", ev.line)
+          .close()
+          .close();
       break;
     }
     case TraceEventKind::kFallbackAcquired: {
       ensure_core_track(ev.core);
-      std::string r = "{\"name\":\"fallback lock acquired\",\"ph\":\"i\","
-                      "\"s\":\"t\",\"pid\":0,\"tid\":" +
-                      u64s(ev.core) + ",\"ts\":" + u64s(ev.cycle) +
-                      ",\"args\":{\"spin_start\":" + u64s(ev.span_begin) +
-                      ",\"retries\":" + u64s(ev.retries) + "}}";
-      write_record(r);
+      JsonWriter w = record();
+      w.open().str("name", "fallback lock acquired");
+      instant_fields(w, ev);
+      w.u64("spin_start", ev.span_begin)
+          .u64("retries", ev.retries)
+          .close()
+          .close();
       break;
     }
     case TraceEventKind::kSite: {
       // Site declarations become metadata-style instants on the process
       // track so the conflict args' site ids stay decodable in the UI.
-      std::string r = "{\"name\":\"site " + u64s(ev.site_id) + ": " +
-                      ev.site_name +
-                      "\",\"ph\":\"i\",\"s\":\"g\",\"pid\":0,\"ts\":" +
-                      u64s(ev.cycle) + ",\"args\":{\"site\":" +
-                      u64s(ev.site_id) + ",\"name\":\"" + ev.site_name +
-                      "\",\"obj_size\":" + u64s(ev.site_obj_size) +
-                      ",\"objects\":" + u64s(ev.site_objects) +
-                      ",\"bytes\":" + u64s(ev.site_bytes) + "}}";
-      write_record(r);
+      JsonWriter w = record();
+      w.open()
+          .str("name", "site ", ev.site_id, ": ", ev.site_name)
+          .str("ph", "i")
+          .str("s", "g")
+          .u64("pid", 0)
+          .u64("ts", ev.cycle)
+          .key("args")
+          .open()
+          .u64("site", ev.site_id)
+          .str("name", ev.site_name)
+          .u64("obj_size", ev.site_obj_size)
+          .u64("objects", ev.site_objects)
+          .u64("bytes", ev.site_bytes)
+          .close()
+          .close();
       break;
     }
   }
+  write_out();
 }
 
 void PerfettoSink::finish(Cycle /*final_cycle*/) {

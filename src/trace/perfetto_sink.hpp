@@ -18,11 +18,14 @@
 
 #include <iosfwd>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "trace/sink.hpp"
 
 namespace asfsim::trace {
+
+class JsonWriter;
 
 class PerfettoSink final : public TraceSink {
  public:
@@ -31,10 +34,15 @@ class PerfettoSink final : public TraceSink {
   void finish(Cycle final_cycle) override;
 
  private:
+  /// Start the next record in rec_ (after the ",\n" separator).
+  JsonWriter record();
+  /// Write rec_ (every record of one event) to the stream and clear it.
+  void write_out();
   void ensure_core_track(CoreId core);
-  void write_record(const std::string& json);
+  void counter(std::string_view name, Cycle ts, std::uint64_t value);
 
   std::ostream& os_;
+  std::string rec_;  // reused across events
   std::vector<bool> core_seen_;
   std::uint64_t prev_aborts_ = 0;  // for the per-interval abort_rate track
   bool first_ = true;

@@ -1,12 +1,12 @@
 #include "trace/summary.hpp"
 
 #include <algorithm>
-#include <cstdio>
 #include <istream>
 #include <ostream>
 
 #include "stats/counters.hpp"
 #include "stats/report.hpp"
+#include "trace/json_writer.hpp"
 #include "trace/jsonl.hpp"
 
 namespace asfsim::trace {
@@ -14,13 +14,6 @@ namespace asfsim::trace {
 namespace {
 
 constexpr std::size_t kTimelineBuckets = 10;
-
-std::string hex_line(Addr line) {
-  char buf[24];
-  std::snprintf(buf, sizeof(buf), "0x%llx",
-                static_cast<unsigned long long>(line));
-  return buf;
-}
 
 }  // namespace
 
@@ -120,7 +113,7 @@ void print_summary(const TraceSummary& s, std::ostream& os, int top_n) {
     if (lines.size() > static_cast<std::size_t>(top_n)) lines.resize(top_n);
     TextTable t({"Line", "Conflicts", "False", "True"});
     for (const auto& [line, lc] : lines) {
-      t.add_row({hex_line(line), std::to_string(lc.total()),
+      t.add_row({hex_string(line), std::to_string(lc.total()),
                  std::to_string(lc.false_conflicts),
                  std::to_string(lc.true_conflicts)});
     }

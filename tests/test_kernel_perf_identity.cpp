@@ -13,6 +13,7 @@
 //   ASFSIM_WRITE_GOLDEN=1 ./test_kernel_perf_identity
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdint>
 #include <cstdlib>
 #include <filesystem>
@@ -26,6 +27,7 @@
 #include "harness/experiment.hpp"
 #include "sim/random.hpp"
 #include "stats/serialize.hpp"
+#include "trace/jsonl.hpp"
 #include "workloads/workload.hpp"
 
 #ifndef ASFSIM_GOLDEN_DIR
@@ -107,13 +109,15 @@ std::string cell_key(const Cell& c) {
   return key;
 }
 
-std::string golden_path() {
-  return std::string(ASFSIM_GOLDEN_DIR) + "/kernel_identity.golden";
+std::string golden_path(const char* file = "kernel_identity.golden") {
+  return std::string(ASFSIM_GOLDEN_DIR) + "/" + file;
 }
 
-std::map<std::string, std::pair<std::string, std::string>> load_goldens() {
+/// `key hash hash` rows of one golden file.
+std::map<std::string, std::pair<std::string, std::string>> load_goldens(
+    const std::string& path = golden_path()) {
   std::map<std::string, std::pair<std::string, std::string>> out;
-  std::ifstream is(golden_path());
+  std::ifstream is(path);
   std::string key, stats_h, trace_h;
   while (is >> key >> stats_h >> trace_h) out[key] = {stats_h, trace_h};
   return out;
@@ -173,6 +177,108 @@ TEST(KernelPerfIdentity, StatsAndTraceMatchPreOptimizationGoldens) {
   EXPECT_TRUE(mismatches.empty())
       << "simulated outcomes diverged from the pre-optimization kernel:\n"
       << all;
+}
+
+// ---- trace format bytes -----------------------------------------------------
+
+// The goldens above hash only default-config JSONL. These pin the bytes of
+// the Perfetto exporter and of JSONL carrying the provenance keys and the
+// contention-management records: each cell runs with provenance and
+// cm-stats on under a non-default policy and hashes both formats. The
+// hashes were captured from the snprintf-based sinks, so a sink rewrite
+// that moves a byte fails here. Regenerate (only for a deliberate format
+// change) with ASFSIM_WRITE_GOLDEN=1 --gtest_filter=TraceFormatIdentity.*
+struct TraceCell {
+  std::string workload;
+  CmPolicyKind policy;
+};
+
+std::vector<TraceCell> trace_cells() {
+  std::vector<TraceCell> out;
+  for (const char* wl : {"oltp", "vacation", "kmeans"}) {
+    for (const CmPolicyKind p : {CmPolicyKind::kPolite, CmPolicyKind::kTimestamp,
+                                 CmPolicyKind::kSerialize}) {
+      out.push_back({wl, p});
+    }
+  }
+  return out;
+}
+
+TEST(TraceFormatIdentity, PerfettoAndProvCmJsonlMatchSnprintfSinkGoldens) {
+  const bool write = std::getenv("ASFSIM_WRITE_GOLDEN") != nullptr;
+  const std::string path = golden_path("trace_formats.golden");
+  const auto goldens = load_goldens(path);
+  const std::filesystem::path tmp = ::testing::TempDir();
+  std::ostringstream regen;
+  std::vector<std::string> mismatches;
+  std::array<std::uint64_t, trace::kTraceEventKinds> kinds_seen{};
+  std::uint64_t prov_seen = 0;
+
+  for (const TraceCell& c : trace_cells()) {
+    const std::string key = c.workload + "/" + to_string(c.policy);
+    ExperimentConfig cfg =
+        small_config(c.workload, DetectorKind::kSubBlock, 4);
+    cfg.sim.provenance = true;
+    cfg.sim.cm.stats = true;
+    cfg.sim.cm.policy = c.policy;
+
+    std::array<std::string, 2> hashes;
+    const std::array<TraceFormat, 2> formats = {TraceFormat::kJsonl,
+                                                TraceFormat::kPerfetto};
+    for (std::size_t f = 0; f < formats.size(); ++f) {
+      TraceOptions trace;
+      trace.format = formats[f];
+      trace.path = (tmp / ("formats-" + std::to_string(fnv1a(key)) +
+                           trace_file_extension(formats[f])))
+                       .string();
+      const ExperimentResult r = run_experiment(c.workload, cfg, trace);
+      ASSERT_TRUE(r.ok()) << key << ": " << r.validation_error;
+      const std::string bytes = slurp(trace.path);
+      std::filesystem::remove(trace.path);
+      hashes[f] = hex(fnv1a(bytes));
+      if (formats[f] != TraceFormat::kJsonl) continue;
+      std::istringstream lines(bytes);
+      std::string line;
+      trace::TraceEvent ev;
+      while (std::getline(lines, line)) {
+        ASSERT_TRUE(trace::from_jsonl(line, ev)) << key << ": " << line;
+        ++kinds_seen[static_cast<std::size_t>(ev.kind)];
+        if (ev.has_prov) ++prov_seen;
+      }
+    }
+    regen << key << ' ' << hashes[0] << ' ' << hashes[1] << '\n';
+    if (write) continue;
+    const auto it = goldens.find(key);
+    if (it == goldens.end()) {
+      mismatches.push_back(key + ": no golden entry");
+    } else if (it->second != std::make_pair(hashes[0], hashes[1])) {
+      mismatches.push_back(key + ": jsonl " + it->second.first + " -> " +
+                           hashes[0] + ", perfetto " + it->second.second +
+                           " -> " + hashes[1]);
+    }
+  }
+
+  // The cells are only a byte pin for every record shape if every kind
+  // (with provenance keys on the conflict records) actually occurs.
+  for (std::size_t k = 0; k < kinds_seen.size(); ++k) {
+    EXPECT_GT(kinds_seen[k], 0u)
+        << "no " << trace::to_string(static_cast<trace::TraceEventKind>(k))
+        << " event in any cell";
+  }
+  EXPECT_GT(prov_seen, 0u) << "no conflict record carries provenance keys";
+
+  if (write) {
+    std::ofstream os(path, std::ios::trunc);
+    os << regen.str();
+    ASSERT_TRUE(os.good()) << "cannot write " << path;
+    GTEST_SKIP() << "goldens regenerated at " << path;
+  }
+  ASSERT_FALSE(goldens.empty())
+      << "no goldens at " << path
+      << " — run once with ASFSIM_WRITE_GOLDEN=1 on the reference sinks";
+  std::string all;
+  for (const std::string& m : mismatches) all += "  " + m + "\n";
+  EXPECT_TRUE(mismatches.empty()) << "trace bytes diverged:\n" << all;
 }
 
 // ---- transition LUT vs switch-based reference ------------------------------

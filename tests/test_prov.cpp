@@ -5,7 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <map>
 #include <string>
+#include <vector>
 
 #include "harness/experiment.hpp"
 #include "mem/addr.hpp"
@@ -13,6 +15,7 @@
 #include "prov/collector.hpp"
 #include "prov/site_registry.hpp"
 #include "runner/job_spec.hpp"
+#include "sim/random.hpp"
 #include "stats/serialize.hpp"
 
 namespace asfsim {
@@ -62,6 +65,129 @@ TEST(SiteRegistry, ResolvesAddressesToSiteAndObjectIndex) {
   EXPECT_EQ(reg.resolve(524).object, 4u);
   EXPECT_EQ(reg.resolve(1024).object, 1u);
   EXPECT_EQ(reg.sites()[rec].objects, 5u);
+}
+
+/// Reference for SiteRegistry::resolve: a linear scan over every extent,
+/// with object indices counted in allocation order the way on_alloc does.
+class LinearScanRegistry {
+ public:
+  explicit LinearScanRegistry(const prov::SiteRegistry& reg) : reg_(reg) {}
+
+  void on_alloc(Addr base, std::uint64_t size, prov::SiteId site) {
+    const std::uint64_t obj_size = reg_.sites()[site].obj_size;
+    std::uint64_t& next = objects_[site];
+    extents_.push_back({base, size, site, next});
+    next += obj_size != 0 ? (size + obj_size - 1) / obj_size : 1;
+  }
+
+  [[nodiscard]] prov::SiteRegistry::Location resolve(Addr addr) const {
+    for (const Extent& e : extents_) {
+      if (addr < e.base || addr - e.base >= e.size) continue;
+      const std::uint64_t obj_size = reg_.sites()[e.site].obj_size;
+      return {e.site,
+              e.first_object + (obj_size != 0 ? (addr - e.base) / obj_size : 0)};
+    }
+    return {};
+  }
+
+  [[nodiscard]] const auto& extents() const { return extents_; }
+
+ private:
+  struct Extent {
+    Addr base;
+    std::uint64_t size;
+    prov::SiteId site;
+    std::uint64_t first_object;
+  };
+  const prov::SiteRegistry& reg_;
+  std::vector<Extent> extents_;
+  std::map<prov::SiteId, std::uint64_t> objects_;
+};
+
+void expect_same(const prov::SiteRegistry& reg, const LinearScanRegistry& ref,
+                 Addr addr) {
+  const prov::SiteRegistry::Location got = reg.resolve(addr);
+  const prov::SiteRegistry::Location want = ref.resolve(addr);
+  EXPECT_EQ(got.site, want.site) << "addr " << addr;
+  EXPECT_EQ(got.object, want.object) << "addr " << addr;
+}
+
+TEST(SiteRegistry, ResolveMatchesALinearScanUnderInterleavedArenas) {
+  prov::SiteRegistry reg;
+  LinearScanRegistry ref(reg);
+  const std::array<prov::SiteId, 3> sites = {reg.register_site("a", 8),
+                                             reg.register_site("b", 24),
+                                             reg.register_site("var", 0)};
+  // Five per-core arenas bump-allocate upward; a full arena refills from
+  // the shared top, so appends interleave out of address order the way
+  // GAllocator::alloc_local's do.
+  constexpr std::uint64_t kChunk = 4096;
+  Rng rng(42);
+  Addr top = 0x10000;
+  std::array<Addr, 5> next{};
+  std::array<Addr, 5> end{};
+  for (int i = 0; i < 4000; ++i) {
+    const std::size_t a = rng.below(next.size());
+    const prov::SiteId site = sites[rng.below(sites.size())];
+    const std::uint64_t size = rng.chance(0.02) ? 0 : 8 * (1 + rng.below(12));
+    Addr base = next[a] + 8 * rng.below(3);  // sometimes leave a gap
+    if (base + size > end[a]) {
+      base = top;
+      end[a] = top + kChunk;
+      top += kChunk;
+    }
+    next[a] = base + size;
+    reg.on_alloc(base, size, site);
+    ref.on_alloc(base, size, site);
+    if (i % 7 != 0) continue;
+    // Probe around a random recorded extent, plus one random address.
+    const auto& e = ref.extents()[rng.below(ref.extents().size())];
+    for (const Addr p : {e.base - 1, e.base, e.base + e.size / 2,
+                         e.base + e.size - 1, e.base + e.size}) {
+      expect_same(reg, ref, p);
+    }
+    expect_same(reg, ref, rng.range(0, top + kChunk));
+  }
+  for (const auto& e : ref.extents()) {
+    expect_same(reg, ref, e.base);
+    expect_same(reg, ref, e.base + e.size);
+  }
+}
+
+TEST(SiteRegistry, ResolveEdgeCases) {
+  prov::SiteRegistry reg;
+  LinearScanRegistry ref(reg);
+  const prov::SiteId s = reg.register_site("s", 16);
+  const auto alloc = [&](Addr base, std::uint64_t size) {
+    reg.on_alloc(base, size, s);
+    ref.on_alloc(base, size, s);
+  };
+  EXPECT_EQ(reg.resolve(1000).site, prov::kUntaggedSite);  // empty registry
+
+  alloc(1000, 32);  // objects 0..1
+  alloc(2000, 0);   // zero-size: covers nothing
+  alloc(2000, 16);  // object 2, at the zero-size extent's base
+  alloc(500, 16);   // out of order, below everything: object 3
+  alloc(1100, 16);  // out of order, in the gap: object 4
+  const std::vector<Addr> probes = {0,    499,  500,  515,  516,  999,
+                                    1000, 1031, 1032, 1099, 1100, 1115,
+                                    1116, 1999, 2000, 2015, 2016, ~Addr{0}};
+  for (const Addr p : probes) expect_same(reg, ref, p);
+  EXPECT_EQ(reg.resolve(499).site, prov::kUntaggedSite);  // before the first
+  EXPECT_EQ(reg.resolve(516).site, prov::kUntaggedSite);  // at base + size
+  EXPECT_EQ(reg.resolve(1032).site, prov::kUntaggedSite);  // in a gap
+  EXPECT_EQ(reg.resolve(2000).object, 2u);
+  EXPECT_EQ(reg.resolve(1100).object, 4u);
+
+  // Enough descending appends to merge the tail into the sorted extents
+  // several times over; every earlier answer must survive the merges.
+  for (Addr b = 496; b > 0; b -= 2) alloc(b, 2);
+  for (const Addr p : probes) expect_same(reg, ref, p);
+  for (const auto& e : ref.extents()) {
+    expect_same(reg, ref, e.base);
+    expect_same(reg, ref, e.base + e.size - 1);
+    expect_same(reg, ref, e.base + e.size);
+  }
 }
 
 // ---- collector --------------------------------------------------------------

@@ -3,11 +3,14 @@
 // structure, the sim-cycle log prefix, and the new Stats histograms.
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "guest/machine.hpp"
+#include "harness/experiment.hpp"
 #include "sim/log.hpp"
 #include "stats/serialize.hpp"
 #include "stats/txtrace.hpp"
@@ -339,6 +342,25 @@ TEST(TracePerfetto, EmitsWellFormedStructure) {
   EXPECT_NE(out.find("\"name\":\"abort_rate\""), std::string::npos);
   // Closed exactly once (Machine::run calls TraceHub::finish).
   EXPECT_EQ(out.find("\n]}\n"), out.size() - 4);
+}
+
+// A trace that cannot be written (full disk, closed pipe) must fail the run
+// with the path in the message, not return ok() with a truncated file.
+TEST(TraceIntegration, UnwritableTraceFailsTheRun) {
+  if (!std::filesystem::exists("/dev/full")) GTEST_SKIP() << "no /dev/full";
+  ExperimentConfig cfg;
+  cfg.params.threads = 4;
+  cfg.sim.ncores = 4;
+  cfg.params.scale = 0.25;
+  for (const TraceFormat f : {TraceFormat::kJsonl, TraceFormat::kPerfetto}) {
+    try {
+      (void)run_experiment("counter", cfg, TraceOptions{f, "/dev/full"});
+      ADD_FAILURE() << trace_file_extension(f) << ": run returned normally";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("/dev/full"), std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 // ---- sim-cycle log prefix ---------------------------------------------------
