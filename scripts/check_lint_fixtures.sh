@@ -12,7 +12,6 @@ DIR=${2:?usage: check_lint_fixtures.sh <asfsim_lint-binary> <fixtures-dir>}
 rule_of() {
   case "$(basename "$1")" in
     r1_*) echo "coawait-in-condition" ;;
-    r2_*) echo "discarded-task" ;;
     r3_*) echo "global-alloc-in-tx" ;;
     r4_*) echo "raw-guest-access" ;;
     r5_*) echo "nondeterministic-source" ;;
@@ -25,7 +24,6 @@ expected_count() {
   # Seeded violation counts, declared in each fixture's header comment.
   case "$(basename "$1")" in
     r1_flag.cpp) echo 3 ;;
-    r2_flag.cpp) echo 2 ;;
     r3_flag.cpp) echo 2 ;;
     r4_flag.cpp) echo 3 ;;
     r5_flag.cpp) echo 3 ;;

@@ -42,7 +42,7 @@ rules = driver["rules"]
 need(isinstance(rules, list), "driver.rules is a list")
 ids = [r["id"] for r in rules]
 need(len(ids) == len(set(ids)), "rule ids unique")
-need(set(ids) == {"coawait-in-condition", "discarded-task", "global-alloc-in-tx",
+need(set(ids) == {"coawait-in-condition", "global-alloc-in-tx",
                   "raw-guest-access", "nondeterministic-source",
                   "unordered-iteration"},
      "driver.rules lists exactly the rules asfsim_lint runs")

@@ -24,17 +24,11 @@ if [ "${ASFSIM_NO_CACHE:-0}" = "1" ]; then
   runner_flags+=(--no-cache)
 fi
 
-benches=(
-  table1_states table2_config table3_benchmarks
-  fig1_false_conflict_rate fig2_conflict_type_breakdown
-  fig3_time_distribution fig4_line_distribution fig5_intra_line_access
-  fig8_subblock_sensitivity fig9_overall_conflict_reduction
-  fig10_execution_time
-  ablation_waronly ablation_waw_rule ablation_overhead
-  ablation_ats ablation_cores ablation_variance ablation_capacity
-  ablation_l1_geometry ablation_scale ablation_timing
-)
-for b in "${benches[@]}"; do
+# One run per row of src/harness/figures.def.
+benches=$(sed -n 's/^ASFSIM_FIGURE(\([a-z0-9_]*\))$/\1/p' \
+  "$(dirname "$0")/../src/harness/figures.def")
+[ -n "$benches" ] || { echo "no rows in src/harness/figures.def" >&2; exit 1; }
+for b in $benches; do
   echo "== $b"
   "$build/bench/$b" --csv "$out" ${runner_flags[@]+"${runner_flags[@]}"} \
     | tee "$out/$b.txt"

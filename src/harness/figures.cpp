@@ -4,6 +4,7 @@
 #include <array>
 #include <chrono>
 #include <cmath>
+#include <cstdlib>
 #include <filesystem>
 #include <map>
 #include <numeric>
@@ -239,7 +240,7 @@ int fig1_false_conflict_rate(const CliOptions& opts, std::ostream& os) {
   int status = 0;
   os << "Fig 1: false conflict rate of STAMP and RMS-TM benchmarks "
         "(baseline ASF)\n";
-  CsvWriter csv(opts.csv_dir, "fig1_false_conflict_rate");
+  CsvWriter csv(opts.csv_dir, __func__);
   csv.row({"benchmark", "conflicts", "false_conflicts", "false_rate"});
   TextTable t({"Benchmark", "Conflicts", "False", "False rate"});
   double sum = 0;
@@ -270,7 +271,7 @@ int fig1_false_conflict_rate(const CliOptions& opts, std::ostream& os) {
 int fig2_conflict_type_breakdown(const CliOptions& opts, std::ostream& os) {
   int status = 0;
   os << "Fig 2: breakdown of false conflict types (baseline ASF)\n";
-  CsvWriter csv(opts.csv_dir, "fig2_conflict_type_breakdown");
+  CsvWriter csv(opts.csv_dir, __func__);
   csv.row({"benchmark", "war", "raw", "waw"});
   TextTable t({"Benchmark", "WAR", "RAW", "WAW", "WAR%", "RAW%", "WAW%"});
   const ExperimentConfig cfg = base_config(opts);
@@ -301,7 +302,7 @@ int fig3_time_distribution(const CliOptions& opts, std::ostream& os) {
   int status = 0;
   os << "Fig 3: cumulative transactions and false conflicts over execution "
         "(baseline ASF; 20 time buckets)\n";
-  CsvWriter csv(opts.csv_dir, "fig3_time_distribution");
+  CsvWriter csv(opts.csv_dir, __func__);
   csv.row({"benchmark", "bucket", "tx_started_cum", "false_conflicts_cum"});
   ExperimentConfig cfg = base_config(opts);
   cfg.timeseries = true;
@@ -346,7 +347,7 @@ int fig4_line_distribution(const CliOptions& opts, std::ostream& os) {
   int status = 0;
   os << "Fig 4: false conflict count by physical cache line (baseline ASF; "
         "32 address bins + concentration)\n";
-  CsvWriter csv(opts.csv_dir, "fig4_line_distribution");
+  CsvWriter csv(opts.csv_dir, __func__);
   csv.row({"benchmark", "bin", "false_conflicts"});
   const ExperimentConfig cfg = base_config(opts);
   Runner runner(runner_opts(opts));
@@ -404,7 +405,7 @@ int fig5_intra_line_access(const CliOptions& opts, std::ostream& os) {
   int status = 0;
   os << "Fig 5: transactional accesses by start offset within the cache "
         "line (baseline ASF)\n";
-  CsvWriter csv(opts.csv_dir, "fig5_intra_line_access");
+  CsvWriter csv(opts.csv_dir, __func__);
   csv.row({"benchmark", "offset", "accesses"});
   const ExperimentConfig cfg = base_config(opts);
   Runner runner(runner_opts(opts));
@@ -445,7 +446,7 @@ int fig8_subblock_sensitivity(const CliOptions& opts, std::ostream& os) {
         "(measured = actual re-runs with the sub-blocking detector;\n"
         " analytic = baseline false conflicts whose access masks no longer "
         "overlap when quantized)\n\n";
-  CsvWriter csv(opts.csv_dir, "fig8_subblock_sensitivity");
+  CsvWriter csv(opts.csv_dir, __func__);
   csv.row({"benchmark", "nsub", "measured_reduction", "analytic_reduction"});
   TextTable t({"Benchmark", "meas2", "meas4", "meas8", "meas16", "ana2",
                "ana4", "ana8", "ana16"});
@@ -500,7 +501,7 @@ int fig8_subblock_sensitivity(const CliOptions& opts, std::ostream& os) {
 int fig9_overall_conflict_reduction(const CliOptions& opts, std::ostream& os) {
   int status = 0;
   os << "Fig 9: percentage of overall (true+false) conflict reduction\n";
-  CsvWriter csv(opts.csv_dir, "fig9_overall_conflict_reduction");
+  CsvWriter csv(opts.csv_dir, __func__);
   csv.row({"benchmark", "baseline_conflicts", "subblock4_reduction",
            "perfect_reduction"});
   TextTable t({"Benchmark", "Base confl", "SubBlock-4", "Perfect"});
@@ -554,7 +555,7 @@ int fig9_overall_conflict_reduction(const CliOptions& opts, std::ostream& os) {
 int fig10_execution_time(const CliOptions& opts, std::ostream& os) {
   int status = 0;
   os << "Fig 10: improvement of overall execution time vs baseline ASF\n";
-  CsvWriter csv(opts.csv_dir, "fig10_execution_time");
+  CsvWriter csv(opts.csv_dir, __func__);
   csv.row({"benchmark", "baseline_cycles", "subblock4_improvement",
            "perfect_improvement", "baseline_avg_retries"});
   TextTable t(
@@ -602,7 +603,7 @@ int ablation_waronly(const CliOptions& opts, std::ostream& os) {
   int status = 0;
   os << "Ablation (paper §II): WAR-only false-conflict reduction (SpMT/DPTM "
         "style) vs speculative sub-blocking\n";
-  CsvWriter csv(opts.csv_dir, "ablation_waronly");
+  CsvWriter csv(opts.csv_dir, __func__);
   csv.row({"benchmark", "baseline_false", "waronly_reduction",
            "subblock4_reduction"});
   TextTable t({"Benchmark", "Base false", "WAR-only", "SubBlock-4",
@@ -653,7 +654,7 @@ int ablation_waw_rule(const CliOptions& opts, std::ostream& os) {
   os << "Ablation (paper §IV-D2): WAW handled at line granularity (the "
         "paper's in-cache-versioning constraint) vs at sub-block "
         "granularity (possible with overlay versioning; DESIGN.md §6.5)\n";
-  CsvWriter csv(opts.csv_dir, "ablation_waw_rule");
+  CsvWriter csv(opts.csv_dir, __func__);
   csv.row({"benchmark", "subblock4_conflicts", "wawline4_conflicts",
            "wawline_false_waw"});
   TextTable t({"Benchmark", "SubBlock-4 confl", "WAW-line-4 confl",
@@ -694,7 +695,7 @@ int ablation_ats(const CliOptions& opts, std::ostream& os) {
   int status = 0;
   os << "Ablation (extension): adaptive transaction scheduling (ATS) "
         "composed with speculative sub-blocking\n";
-  CsvWriter csv(opts.csv_dir, "ablation_ats");
+  CsvWriter csv(opts.csv_dir, __func__);
   csv.row({"benchmark", "config", "conflicts", "cycles", "ats_dispatches"});
   TextTable t({"Benchmark", "Config", "Conflicts", "Cycles", "ATS dispatch"});
   ExperimentConfig cfg = base_config(opts);
@@ -741,7 +742,7 @@ int ablation_cores(const CliOptions& opts, std::ostream& os) {
   int status = 0;
   os << "Ablation (extension): false-conflict rate vs core count "
         "(baseline ASF; the paper fixes 8 cores)\n";
-  CsvWriter csv(opts.csv_dir, "ablation_cores");
+  CsvWriter csv(opts.csv_dir, __func__);
   csv.row({"benchmark", "cores", "conflicts", "false_rate"});
   TextTable t({"Benchmark", "Cores", "Conflicts", "False rate"});
   const auto cores_config = [&opts](std::uint32_t n) {
@@ -784,7 +785,7 @@ int ablation_variance(const CliOptions& opts, std::ostream& os) {
   os << "Ablation (extension): seed-to-seed variance of the Fig 9 metric "
         "(overall conflict reduction, sub-block 4 vs baseline), " << kSeeds
      << " seeds\n";
-  CsvWriter csv(opts.csv_dir, "ablation_variance");
+  CsvWriter csv(opts.csv_dir, __func__);
   csv.row({"benchmark", "mean_reduction", "stddev", "min", "max",
            "mean_base_conflicts"});
   TextTable t({"Benchmark", "Mean", "Stddev", "Min", "Max", "Base confl"});
@@ -865,7 +866,7 @@ int ablation_overhead(const CliOptions& opts, std::ostream& os) {
   os << "Message traffic under sub-block(4):\n";
   TextTable m({"Benchmark", "Probes", "Piggy-back msgs", "Dirty refetches",
                "Piggy-back share"});
-  CsvWriter csv(opts.csv_dir, "ablation_overhead");
+  CsvWriter csv(opts.csv_dir, __func__);
   csv.row({"benchmark", "probes", "piggyback", "dirty_refetches"});
   const ExperimentConfig ecfg = base_config(opts);
   Runner runner(runner_opts(opts));
@@ -898,8 +899,17 @@ int ablation_overhead(const CliOptions& opts, std::ostream& os) {
   // printed alongside bound the real-time cost of each sink.
   os << "\nTracing overhead (vacation, sub-block/4):\n";
   const ExperimentConfig tcfg = ecfg.with(DetectorKind::kSubBlock, 4);
-  const auto tmp =
-      std::filesystem::temp_directory_path() / "asfsim-trace-ablation";
+  // A fresh directory per call: concurrent runs (parallel ctests, the
+  // figure binary next to the in-process test) must not remove each
+  // other's trace files.
+  std::string tmp_name = (std::filesystem::temp_directory_path() /
+                          "asfsim-trace-ablation-XXXXXX")
+                             .string();
+  if (::mkdtemp(tmp_name.data()) == nullptr) {
+    os << "!! cannot create a trace directory from " << tmp_name << "\n";
+    return 1;
+  }
+  const std::filesystem::path tmp = tmp_name;
   TextTable tt({"Tracing", "Cycles", "Host ms", "Stats vs off"});
   std::string off_blob;
   for (const auto& [label, trace] :
@@ -935,7 +945,7 @@ int ablation_capacity(const CliOptions& opts, std::ostream& os) {
   int status = 0;
   os << "Ablation (paper §III footnote): why yada was excluded — its "
         "transactions overflow the 2-way L1's speculative capacity\n";
-  CsvWriter csv(opts.csv_dir, "ablation_capacity");
+  CsvWriter csv(opts.csv_dir, __func__);
   csv.row({"benchmark", "commits", "capacity_aborts", "fallback_runs",
            "conflict_aborts"});
   TextTable t({"Benchmark", "Commits", "Capacity aborts", "Fallback runs",
@@ -976,7 +986,7 @@ int ablation_l1_geometry(const CliOptions& opts, std::ostream& os) {
   os << "Ablation (extension): L1 geometry sensitivity (baseline ASF). ASF "
         "is best-effort: speculative footprints are bounded by the L1's "
         "associativity and size.\n";
-  CsvWriter csv(opts.csv_dir, "ablation_l1_geometry");
+  CsvWriter csv(opts.csv_dir, __func__);
   csv.row({"benchmark", "l1_kb", "ways", "capacity_aborts", "fallbacks",
            "cycles"});
   TextTable t({"Benchmark", "L1", "Capacity aborts", "Fallbacks", "Cycles"});
@@ -1027,7 +1037,7 @@ int ablation_scale(const CliOptions& opts, std::ostream& os) {
         "(baseline ASF). Smaller inputs concentrate sharing, raising the "
         "false rate above the paper's full-size runs — the key deviation "
         "documented in EXPERIMENTS.md.\n";
-  CsvWriter csv(opts.csv_dir, "ablation_scale");
+  CsvWriter csv(opts.csv_dir, __func__);
   csv.row({"benchmark", "scale", "conflicts", "false_rate"});
   TextTable t({"Benchmark", "Scale", "Conflicts", "False rate"});
   const auto scale_config = [&opts](double scale) {
@@ -1068,7 +1078,7 @@ int ablation_timing(const CliOptions& opts, std::ostream& os) {
         "checks run) that many cycles after issue, against the machine "
         "state at delivery — the substitution DESIGN.md §2 documents is "
         "valid if the conflict profile barely moves while cycles grow.\n";
-  CsvWriter csv(opts.csv_dir, "ablation_timing");
+  CsvWriter csv(opts.csv_dir, __func__);
   csv.row({"benchmark", "probe_delay", "conflicts", "false_rate", "cycles"});
   TextTable t({"Benchmark", "Probe delay", "Conflicts", "False rate",
                "Cycles"});
@@ -1114,7 +1124,7 @@ int fig11_throughput_vs_skew(const CliOptions& opts, std::ostream& os) {
         "(mix: " << to_string(opts.cfg.params.oltp.mix)
      << "; latency = logical transaction begin -> commit/fallback, "
         "including retries and backoff; docs/workloads.md)\n";
-  CsvWriter csv(opts.csv_dir, "fig11_throughput_vs_skew");
+  CsvWriter csv(opts.csv_dir, __func__);
   csv.row({"theta", "cores", "detector", "commits", "commits_per_simsec",
            "p50_cycles", "p95_cycles", "p99_cycles", "abort_rate",
            "fallback_runs"});
@@ -1186,7 +1196,7 @@ int fig_conflict_attribution(const CliOptions& opts, std::ostream& os) {
         "allocation site and detector\n"
         "(site registry + per-conflict attribution; "
         "docs/observability.md, \"Conflict provenance\")\n";
-  CsvWriter csv(opts.csv_dir, "fig_conflict_attribution");
+  CsvWriter csv(opts.csv_dir, __func__);
   csv.row({"workload", "detector", "site", "objects", "false", "false_share",
            "true", "avoided", "wasted_cycles"});
   constexpr std::array<const char*, 3> kBenches{"oltp", "vacation", "genome"};
@@ -1271,7 +1281,7 @@ int ablation_fault_sweep(const CliOptions& opts, std::ostream& os) {
   int status = 0;
   os << "Ablation (robustness): commit rate and wasted cycles vs injected "
         "spurious-abort rate (--fault-spurious), per detector\n";
-  CsvWriter csv(opts.csv_dir, "ablation_fault_sweep");
+  CsvWriter csv(opts.csv_dir, __func__);
   csv.row({"workload", "detector", "spurious_rate", "commit_rate",
            "wasted_cycles", "commits_per_simsec"});
   constexpr std::array<double, 4> kRates{0.0, 0.002, 0.01, 0.05};
@@ -1343,7 +1353,7 @@ int fig10_policy_sweep(const CliOptions& opts, std::ostream& os) {
         "policy, detector and core count\n"
         "(workloads: livelock storm, contended oltp (theta 1.1, 256 "
         "records), intruder; cm accounting on; docs/contention.md)\n";
-  CsvWriter csv(opts.csv_dir, "fig10_policy_sweep");
+  CsvWriter csv(opts.csv_dir, __func__);
   csv.row({"workload", "policy", "detector", "cores", "cycles", "abort_rate",
            "fallback_runs", "requester_losses", "max_consec_aborts",
            "wasted_gini"});

@@ -1,9 +1,10 @@
 // Per-figure/table reproduction logic (one bench binary per entry point).
 //
 // Every function prints the paper's rows/series to `os`, optionally mirrors
-// them as CSV into opts.csv_dir, and returns 0 on success (non-zero when a
-// sanity expectation fails badly enough that the figure is meaningless,
-// e.g. a workload failed validation).
+// them as CSV into opts.csv_dir as <function name>.csv, and returns 0 on
+// success (non-zero when a sanity expectation fails badly enough that the
+// figure is meaningless, e.g. a workload failed validation). The functions
+// are the rows of figures.def; see there for what each one reproduces.
 #pragma once
 
 #include <iostream>
@@ -12,48 +13,20 @@
 
 namespace asfsim::figures {
 
-// ---- tables ----------------------------------------------------------------
-int table1_states(const CliOptions& opts, std::ostream& os);       // Table I + Fig 6/7
-int table2_config(const CliOptions& opts, std::ostream& os);       // Table II
-int table3_benchmarks(const CliOptions& opts, std::ostream& os);   // Table III
+#define ASFSIM_FIGURE(name) int name(const CliOptions& opts, std::ostream& os);
+#include "harness/figures.def"
+#undef ASFSIM_FIGURE
 
-// ---- characterization figures ----------------------------------------------
-int fig1_false_conflict_rate(const CliOptions& opts, std::ostream& os);
-int fig2_conflict_type_breakdown(const CliOptions& opts, std::ostream& os);
-int fig3_time_distribution(const CliOptions& opts, std::ostream& os);
-int fig4_line_distribution(const CliOptions& opts, std::ostream& os);
-int fig5_intra_line_access(const CliOptions& opts, std::ostream& os);
+struct Figure {
+  const char* name;
+  int (*run)(const CliOptions& opts, std::ostream& os);
+};
 
-// ---- evaluation figures ------------------------------------------------------
-int fig8_subblock_sensitivity(const CliOptions& opts, std::ostream& os);
-int fig9_overall_conflict_reduction(const CliOptions& opts, std::ostream& os);
-int fig10_execution_time(const CliOptions& opts, std::ostream& os);
-/// OLTP extension: commits/simulated-second and latency percentiles over a
-/// zipf-theta x core-count x detector sweep (docs/workloads.md).
-int fig11_throughput_vs_skew(const CliOptions& opts, std::ostream& os);
-/// Provenance extension: share of false conflicts by allocation site per
-/// detector, over a contended OLTP run plus two STAMP-style programs
-/// (docs/observability.md, "Conflict provenance").
-int fig_conflict_attribution(const CliOptions& opts, std::ostream& os);
-/// Contention-management extension: execution time and fairness
-/// (abort rate, fallback runs, max consecutive aborts, wasted-cycle Gini)
-/// over a policy x detector x core-count grid on the livelock storm,
-/// a contended OLTP mix and intruder (docs/contention.md).
-int fig10_policy_sweep(const CliOptions& opts, std::ostream& os);
-
-// ---- ablations / overhead (paper §II and §IV-E) ------------------------------
-int ablation_waronly(const CliOptions& opts, std::ostream& os);
-int ablation_ats(const CliOptions& opts, std::ostream& os);
-int ablation_cores(const CliOptions& opts, std::ostream& os);
-int ablation_variance(const CliOptions& opts, std::ostream& os);
-int ablation_waw_rule(const CliOptions& opts, std::ostream& os);
-int ablation_overhead(const CliOptions& opts, std::ostream& os);
-int ablation_capacity(const CliOptions& opts, std::ostream& os);
-int ablation_l1_geometry(const CliOptions& opts, std::ostream& os);
-int ablation_scale(const CliOptions& opts, std::ostream& os);
-int ablation_timing(const CliOptions& opts, std::ostream& os);
-/// Commit rate and wasted work vs injected spurious-abort rate, per
-/// detector (docs/robustness.md fault-injection knobs).
-int ablation_fault_sweep(const CliOptions& opts, std::ostream& os);
+/// Every row of figures.def, in file order.
+inline constexpr Figure kFigures[] = {
+#define ASFSIM_FIGURE(name) {#name, &name},
+#include "harness/figures.def"
+#undef ASFSIM_FIGURE
+};
 
 }  // namespace asfsim::figures

@@ -616,8 +616,6 @@ std::string MemorySystem::check_invariants() const {
     for (const auto& [line, marks] : dirty_marks_[c]) lines.push_back(line);
   }
   std::sort(lines.begin(), lines.end());
-  // std::vector::erase, not the guest map's coroutine erase (homonym).
-  // asfsim-lint: allow(discarded-task)
   lines.erase(std::unique(lines.begin(), lines.end()), lines.end());
   for (const Addr line : lines) {
     int m_or_e = 0, owned = 0, valid = 0;

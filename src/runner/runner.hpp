@@ -15,8 +15,8 @@
 // byte-identical regardless of --jobs, ordering, or cache state; output
 // code consumes futures in submission order and prints the same bytes the
 // serial harness did. Per-job wall time and provenance (executed / cache /
-// deduped) land in a machine-readable JSON manifest for CI and
-// scripts/bench_snapshot.sh. See docs/runner.md.
+// deduped) land in a machine-readable JSON manifest for CI and perfbench.
+// See docs/runner.md.
 #pragma once
 
 #include <chrono>

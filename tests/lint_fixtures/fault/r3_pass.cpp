@@ -3,7 +3,7 @@
 // infrastructure: the chaos harness drives guest coroutines from host code
 // (ledger setup via poke/peek, invariant audits, the watchdog report), so
 // it may use allocation and raw-guest-access idioms freely. The global
-// rules R1/R2 still apply here — a co_await in a condition is a bug in any
+// rule R1 still applies here — a co_await in a condition is a bug in any
 // tree.
 #include "workloads/workload.hpp"
 

@@ -27,15 +27,12 @@ struct Task {
 };
 
 Awaiter ready();
-Task<void> ping(int v);
 
-Task<void> driver(int x) {
+Task<void> driver() {
   // R1: co_await in an if condition — fixed by hoisting into a local.
   if (co_await ready()) {
     co_return;
   }
-  // R2: discarded Task — fixed by prepending co_await.
-  ping(x);
 }
 
 }  // namespace fixdemo

@@ -82,10 +82,6 @@ void print_rules() {
       << "       controlled branch also suspends (DESIGN.md §7). Hoist the\n"
       << "       awaited value into a named local, then branch on it.\n"
       << "       Autofix: hoists a plain `if` condition.\n"
-      << kRuleDiscardedTask
-      << "  (R2) call to a Task-returning function whose result is neither\n"
-      << "       co_awaited nor stored: Task is lazy, a dropped task never\n"
-      << "       runs its body. Autofix: prepends co_await inside coroutines.\n"
       << kRuleGlobalAllocInTx
       << "  (R3) guest-thread (coroutine) code in workloads/ or oltp/\n"
       << "       allocating via\n"

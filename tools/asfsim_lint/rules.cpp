@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <unordered_set>
 
 #include "cfg.hpp"
-#include "parser.hpp"
 
 namespace asfsim_lint {
 namespace {
@@ -69,7 +69,6 @@ class Checker {
 
   std::vector<Diagnostic> run() {
     rule_coawait_in_condition();
-    rule_discarded_task();
     if (path_contains(file_.path, "workloads") ||
         path_contains(file_.path, "oltp")) {
       rule_global_alloc_in_tx();
@@ -201,64 +200,6 @@ class Checker {
                          indent_at(intro_tok.begin)});
     fixes.push_back({open_tok.end, close_tok.begin, var});
     return fixes;
-  }
-
-  // ---- R2: discarded Task -------------------------------------------------
-  //
-  // Task<T> is lazy: a task that is never co_awaited (or stored and handed
-  // to Machine::spawn) never runs its body. A bare `foo(...);` statement
-  // calling a Task-returning function is therefore dead code that LOOKS
-  // like a memory access or a transaction.
-  void rule_discarded_task() {
-    for (std::size_t i = 0; i + 1 < toks_.size(); ++i) {
-      if (!is_ident(toks_[i])) continue;
-      const auto fn = ctx_.task_fns.find(toks_[i].text);
-      if (fn == ctx_.task_fns.end()) continue;
-      if (!is(toks_[i + 1], "(")) continue;
-      const std::size_t close = match_paren(toks_, i + 1);
-      if (close == kNpos || close + 1 >= toks_.size()) continue;
-      if (!is(toks_[close + 1], ";")) continue;  // result consumed somehow
-      // Arity gate: `q.push(x)` is std::queue, not GStack::push(ctx, x).
-      if (fn->second.count(call_arity(i + 1, close)) == 0) continue;
-      // Walk back over the object/namespace chain: `w->counters_.get`.
-      std::size_t start = i;
-      while (start > 0) {
-        const Token& p = toks_[start - 1];
-        if (is(p, ".") || is(p, "->") || is(p, "::")) {
-          if (start < 2) break;
-          const Token& q = toks_[start - 2];
-          if (is_ident(q)) {
-            start -= 2;
-            continue;
-          }
-          if (is(q, ")")) {
-            const std::size_t op = match_paren_back(toks_, start - 2);
-            if (op == kNpos || op == 0) break;
-            start = op;  // jump over the call, keep walking the chain
-            continue;
-          }
-        }
-        break;
-      }
-      if (start == 0) continue;
-      const Token& prev = toks_[start - 1];
-      const bool statement_context =
-          is(prev, ";") || is(prev, "{") || is(prev, "}") || is(prev, ")") ||
-          is(prev, "else") || is(prev, "do");
-      if (!statement_context) continue;  // co_await/=/argument/return...
-      // Autofix: awaiting the task is only legal inside a coroutine.
-      std::vector<FixEdit> fixes;
-      if (ast_.in_coroutine(start)) {
-        fixes.push_back(
-            {toks_[start].begin, toks_[start].begin, "co_await "});
-      }
-      report(kRuleDiscardedTask, i,
-             "result of Task-returning function '" + toks_[i].text +
-                 "' is discarded — a dropped Task never runs its body",
-             "co_await " + toks_[i].text +
-                 "(...);  or store it and pass it to Machine::spawn",
-             std::move(fixes));
-    }
   }
 
   // ---- R3: global bump allocation from guest-thread code ------------------
@@ -494,22 +435,6 @@ class Checker {
     }
   }
 
-  /// Number of top-level arguments of the call whose parens are
-  /// [open, close].
-  int call_arity(std::size_t open, std::size_t close) const {
-    int depth = 0;
-    int args = 0;
-    bool any = false;
-    for (std::size_t k = open; k <= close; ++k) {
-      const Token& t = toks_[k];
-      if (is(t, "(") || is(t, "[") || is(t, "{")) ++depth;
-      if (is(t, ")") || is(t, "]") || is(t, "}")) --depth;
-      if (depth == 1 && is(t, ",")) ++args;
-      if (depth >= 1 && !is(t, "(")) any = true;
-    }
-    return any ? args + 1 : 0;
-  }
-
   const LexedFile& file_;
   const std::vector<Token>& toks_;
   const Ast& ast_;
@@ -517,69 +442,6 @@ class Checker {
   std::vector<Cfg> cfgs_;
   std::vector<Diagnostic> diags_;
 };
-
-/// Task<...>-returning function declarations, by token walk (the AST only
-/// records definitions with bodies; declarations matter too).
-void collect_task_functions(const LexedFile& f, TaskFunctionMap& fns) {
-  const auto& toks = f.tokens;
-  for (std::size_t i = 0; i + 2 < toks.size(); ++i) {
-    if (!is_ident(toks[i]) || toks[i].text != "Task") continue;
-    if (!is(toks[i + 1], "<")) continue;
-    // Find the matching `>` (a `>>` closes two levels).
-    int depth = 0;
-    std::size_t k = i + 1;
-    for (; k < toks.size(); ++k) {
-      if (is(toks[k], "<")) ++depth;
-      if (is(toks[k], ">")) --depth;
-      if (is(toks[k], ">>")) depth -= 2;
-      if (depth <= 0) break;
-      if (is(toks[k], ";") || is(toks[k], "{")) {
-        k = toks.size();
-        break;
-      }
-    }
-    if (k + 2 >= toks.size()) continue;
-    // `Task<...> name (` — a declaration or definition, not a variable.
-    if (!is_ident(toks[k + 1]) || !is(toks[k + 2], "(")) continue;
-    const std::string& name = toks[k + 1].text;
-    if (name == "Task" || name == "operator") continue;
-    // Walk the parameter list: total arity, plus the shorter arities
-    // admitted by trailing defaulted parameters.
-    int pdepth = 0;
-    int params = 0;
-    int min_params = -1;  // first defaulted parameter index, if any
-    bool cur_nonempty = false;
-    bool cur_defaulted = false;
-    std::size_t p = k + 2;
-    for (; p < toks.size(); ++p) {
-      const Token& t = toks[p];
-      if (is(t, "(") || is(t, "[") || is(t, "{")) ++pdepth;
-      if (is(t, ")") || is(t, "]") || is(t, "}")) {
-        if (--pdepth == 0) break;
-        continue;
-      }
-      if (pdepth == 1 && is(t, ",")) {
-        if (cur_defaulted && min_params < 0) min_params = params;
-        ++params;
-        cur_nonempty = false;
-        cur_defaulted = false;
-        continue;
-      }
-      if (pdepth >= 1) {
-        cur_nonempty = true;
-        if (pdepth == 1 && is(t, "=")) cur_defaulted = true;
-      }
-    }
-    if (p >= toks.size()) continue;
-    if (cur_nonempty) {
-      if (cur_defaulted && min_params < 0) min_params = params;
-      ++params;
-    }
-    if (min_params < 0) min_params = params;
-    auto& arities = fns[name];
-    for (int a = min_params; a <= params; ++a) arities.insert(a);
-  }
-}
 
 }  // namespace
 
@@ -601,7 +463,6 @@ bool sim_affecting_path(const std::string& path) {
 RuleContext collect_context(const std::vector<ParsedFile>& files) {
   RuleContext ctx;
   for (const ParsedFile& pf : files) {
-    collect_task_functions(pf.file, ctx.task_fns);
     for (const ContainerDecl& d : pf.ast.container_decls) {
       ctx.containers[d.name].push_back(d.type_text);
     }

@@ -5,8 +5,6 @@
 //   R1 coawait-in-condition    co_await inside an if/while/for/switch header
 //                              or a ternary condition (DESIGN.md §7
 //                              miscompile); detected on CFG condition nodes
-//   R2 discarded-task          call to a Task-returning function whose result
-//                              is neither co_awaited nor stored
 //   R3 global-alloc-in-tx      guest-thread code in workloads/ allocating via
 //                              the global bump allocator instead of
 //                              GuestCtx::alloc_local (DESIGN.md §6.9)
@@ -24,13 +22,13 @@
 // Model consistency needs no rule: config fields are rows of the knob table
 // (harness/knobs.hpp) and Stats fields rows of the stats blob table
 // (stats/serialize.hpp), and each table static_asserts its row count
-// against its struct's field count.
+// against its struct's field count. Nor do discarded Tasks (the retired
+// R2): Task is [[nodiscard]] and the tree builds with -Werror=unused-result.
 #pragma once
 
 #include <cstdint>
 #include <string>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "ast.hpp"
@@ -39,7 +37,6 @@
 namespace asfsim_lint {
 
 inline constexpr const char* kRuleCoawaitInCondition = "coawait-in-condition";
-inline constexpr const char* kRuleDiscardedTask = "discarded-task";
 inline constexpr const char* kRuleGlobalAllocInTx = "global-alloc-in-tx";
 inline constexpr const char* kRuleRawGuestAccess = "raw-guest-access";
 inline constexpr const char* kRuleNondeterministicSource =
@@ -69,17 +66,8 @@ struct ParsedFile {
   Ast ast;
 };
 
-/// Functions declared/defined with a Task<...> return type in any scanned
-/// file: name -> set of accepted call-site arities (declared parameter
-/// counts, including the shorter forms allowed by defaulted parameters).
-/// Arity is what disambiguates guest-DS methods from host-container
-/// homonyms (GHeap::push(GuestCtx&, k) vs std::queue::push(v)).
-using TaskFunctionMap =
-    std::unordered_map<std::string, std::unordered_set<int>>;
-
 /// Cross-file context built once over the whole scan set.
 struct RuleContext {
-  TaskFunctionMap task_fns;
   /// Container-typed declarations by name (fields, locals, parameters);
   /// values are the declared type spellings. The determinism pass resolves
   /// iterated expressions against these.
@@ -92,7 +80,7 @@ RuleContext collect_context(const std::vector<ParsedFile>& files);
 /// (the determinism rules' scope).
 bool sim_affecting_path(const std::string& path);
 
-/// Run rules R1-R6 over one file. `ctx` comes from collect_context over the
+/// Run rules R1 and R3-R6 over one file. `ctx` comes from collect_context over the
 /// full scan set.
 std::vector<Diagnostic> check_file(const ParsedFile& pf,
                                    const RuleContext& ctx);

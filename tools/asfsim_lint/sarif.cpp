@@ -39,9 +39,6 @@ constexpr RuleMeta kRules[] = {
     {"coawait-in-condition",
      "co_await inside an if/while/for/switch header or ternary condition "
      "(GCC 12 coroutine-frame miscompile, DESIGN.md s7)"},
-    {"discarded-task",
-     "Result of a Task-returning function is discarded; a dropped Task "
-     "never runs its body"},
     {"global-alloc-in-tx",
      "Guest-thread code allocates via the global bump allocator instead of "
      "GuestCtx::alloc_local (fabricates WAW false sharing, DESIGN.md s6.9)"},
